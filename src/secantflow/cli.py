@@ -18,7 +18,7 @@ import sys
 
 from . import linalg, serialize as ser
 from .curve import h1_dim, riemann_roch_space, standard_curve
-from .errors import (DegenerateRankError, MalformedInputError,
+from .errors import (DegenerateRankError, InvariantError, MalformedInputError,
                      SecantflowError, SmoothnessFailureError)
 from .localmodel import (conjugated_higgs, flow_limit, gauge_factors,
                          limit_vanishing_order, product_smoothness,
@@ -323,12 +323,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DegenerateRankError, SmoothnessFailureError) as exc:
+    except (DegenerateRankError, SmoothnessFailureError, InvariantError) as exc:
         sys.stderr.write(
             f"property failure [{exc.module}]: {exc}\n")
-        return 1
-    except AssertionError as exc:
-        sys.stderr.write(f"property failure [internal invariant]: {exc}\n")
         return 1
     except SecantflowError as exc:
         sys.stderr.write(f"input error [{exc.module}]: {exc}\n")

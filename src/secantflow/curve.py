@@ -13,6 +13,14 @@ this shape with q supported on those fibres; Riemann-Roch spaces are cut
 out of such candidates by exact jet conditions at the support points and
 degree bounds at infinity, and the resulting basis is re-certified by
 valuation accounting before it is returned.
+
+Point admissibility (y^2 = f(x), and y != 0 on a support) is checked where
+data enters: ``HyperellipticCurve.point`` when a point is made,
+``validate_support`` in every function taking a divisor, witness or pool,
+and the y0^2 = f(x0) guard of ``series.sqrt_series`` wherever y is
+expanded.  The per-point kernels (``y_series``, ``valuation``, ``jet``,
+``resolution.section_order``) take a point of the curve as a precondition
+and keep only their structural guards (infinity, y = 0).
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .errors import (
     UnsupportedSupportError,
     WeierstrassPointError,
     ZeroSectionError,
+    invariant,
 )
 from .polynomials import Poly, Scalar, _frac
 
@@ -98,18 +107,32 @@ class HyperellipticCurve:
                 f"({x0}, {y0}) does not satisfy y^2 = f(x)")
         return CurvePoint.affine(x0, y0)
 
+    def rational_fibre(self, x0: Scalar) -> tuple[CurvePoint, CurvePoint]:
+        """The points (x0, y0), (x0, -y0) over x0 with y0 > 0 rational;
+        WeierstrassPointError if f(x0) = 0, UnsupportedSupportError if
+        f(x0) is not a rational square."""
+        x0 = _frac(x0)
+        fx = self.f(x0)
+        if fx == 0:
+            raise WeierstrassPointError(
+                f"the fibre over x = {x0} is a Weierstrass point")
+        # abs() keeps isqrt defined; a negative f(x0) fails the test below
+        y0 = Fraction(math.isqrt(abs(fx.numerator)), math.isqrt(fx.denominator))
+        if y0 * y0 != fx:
+            raise UnsupportedSupportError(
+                f"fibre over x = {x0} has no rational points")
+        return CurvePoint.affine(x0, y0), CurvePoint.affine(x0, -y0)
+
     def canonical_divisor(self) -> Divisor:
         return Divisor({INF: 2 * self.genus - 2})
 
     def y_series(self, x0: Scalar, y0: Scalar, n: int) -> list[Fraction]:
-        """Expansion of y in z = x - x0 at the point (x0, y0), y0 != 0."""
+        """Expansion of y in z = x - x0 at a curve point (x0, y0), y0 != 0."""
         x0, y0 = _frac(x0), _frac(y0)
         if y0 == 0:
             raise WeierstrassPointError(
                 f"x = {x0} is a Weierstrass point; z = x - x0 is not a local "
                 "parameter for y there")
-        if not self.is_on_curve(x0, y0):
-            raise UnsupportedSupportError(f"({x0}, {y0}) is not on the curve")
         return list(_y_series_cached(self, x0, y0, n))
 
 
@@ -243,11 +266,6 @@ class Divisor:
         """Pointwise minimum (largest divisor below both)."""
         pts = set(self.support()) | set(other.support())
         return Divisor({p: min(self.coeff(p), other.coeff(p)) for p in pts})
-
-    def lcm(self, other: Divisor) -> Divisor:
-        """Pointwise maximum (smallest divisor above both)."""
-        pts = set(self.support()) | set(other.support())
-        return Divisor({p: max(self.coeff(p), other.coeff(p)) for p in pts})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Divisor):
@@ -404,8 +422,8 @@ class CurveFunction:
 def valuation(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint) -> int:
     """Exact valuation of h at p (negative at a pole).
 
-    p must be infinity or an affine non-Weierstrass point; the zero
-    function raises ZeroSectionError.
+    p must be infinity or an affine non-Weierstrass point of the curve (a
+    precondition); the zero function raises ZeroSectionError.
     """
     if h.is_zero():
         raise ZeroSectionError("the zero function has no valuation")
@@ -419,8 +437,6 @@ def valuation(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint) -> int
     if p.y == 0:
         raise WeierstrassPointError(
             f"valuation at the Weierstrass point x = {p.x} is not supported")
-    if not curve.is_on_curve(p.x, p.y):
-        raise UnsupportedSupportError(f"{p!r} is not on the curve")
     norm = h.norm_numerator()
     if norm.is_zero():
         # a^2 = b^2 f with f squarefree of odd degree forces a = b = 0
@@ -428,7 +444,7 @@ def valuation(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint) -> int
     bound = norm.root_multiplicity(p.x)
     num = h.numerator_series(p.x, p.y, bound + 1)
     v_num = series.valuation(num)
-    assert v_num is not None, "norm bound must expose the numerator valuation"
+    invariant(v_num is not None, "norm bound must expose the numerator valuation")
     return v_num - h.den.root_multiplicity(p.x)
 
 
@@ -459,7 +475,7 @@ def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
         order: int) -> JetVector:
     """Jet of h at an affine point to the given order (inclusive).
 
-    Raises WeierstrassPointError at y = 0 or infinity (where z = x - x0 is
+    p must be a point of the curve (a precondition).  Raises WeierstrassPointError at y = 0 or infinity (where z = x - x0 is
     not a parameter), PoleAtPointError when h is not regular at p.
     """
     if order < 0:
@@ -469,8 +485,6 @@ def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
     if p.y == 0:
         raise WeierstrassPointError(
             f"jets at the Weierstrass point x = {p.x} are not supported")
-    if not curve.is_on_curve(p.x, p.y):
-        raise UnsupportedSupportError(f"{p!r} is not on the curve")
     if h.is_zero():
         return JetVector(p, order, tuple([Fraction(0)] * (order + 1)))
     v_den = h.den.root_multiplicity(p.x)
@@ -584,7 +598,7 @@ def riemann_roch_space(curve: HyperellipticCurve, D: Divisor) -> SectionSpace:
 
 
 def _certify_section_space(curve: HyperellipticCurve, space: SectionSpace) -> None:
-    """Assert div(h) + D >= 0 for each basis element, place by place.
+    """Check div(h) + D >= 0 for each basis element, place by place.
 
     A candidate (a + b y)/q has poles only over the roots of q and at
     infinity, so checking the support of D, the conjugates of its affine
@@ -596,12 +610,11 @@ def _certify_section_space(curve: HyperellipticCurve, space: SectionSpace) -> No
         places.add(p)
         places.add(p.conjugate())
     for h in space.basis:
-        if h.is_zero():
-            raise AssertionError("zero function in a Riemann-Roch basis")
+        invariant(not h.is_zero(), "zero function in a Riemann-Roch basis")
         for p in places:
-            if valuation(curve, h, p) + D.coeff(p) < 0:
-                raise AssertionError(
-                    f"basis element {h!r} violates the divisor bound at {p!r}")
+            invariant(valuation(curve, h, p) + D.coeff(p) >= 0,
+                      "basis element %r violates the divisor bound at %r",
+                      h, p)
 
 
 def h0_dim(curve: HyperellipticCurve, D: Divisor) -> int:

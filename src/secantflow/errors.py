@@ -13,10 +13,18 @@ class SecantflowError(Exception):
 
     module = "secantflow"
 
-    def __init__(self, *args, module: str | None = None):
-        super().__init__(*args)
-        if module is not None:
-            self.module = module
+
+class InvariantError(SecantflowError):
+    """A re-derived identity failed; raised by :func:`invariant`, which,
+    unlike ``assert``, stays in force under ``python -O``."""
+
+    module = "internal invariant"
+
+
+def invariant(ok: bool, message: str, *args) -> None:
+    """Raise InvariantError(message % args) unless ok."""
+    if not ok:
+        raise InvariantError(message % args)
 
 
 # -- curve ------------------------------------------------------------------
@@ -82,6 +90,14 @@ class BoundViolationError(SecantflowError):
     violated."""
 
     module = "secant"
+
+
+class MorseBoundViolationError(BoundViolationError):
+    module = "morse"
+
+
+class ResolutionBoundViolationError(BoundViolationError):
+    module = "resolution"
 
 
 # -- localmodel -------------------------------------------------------------

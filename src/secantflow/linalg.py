@@ -33,10 +33,6 @@ def columns(m: Matrix) -> list[Vector]:
     return transpose(m)
 
 
-def zeros(r: int, c: int) -> Matrix:
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
     a = copy_matrix(m)

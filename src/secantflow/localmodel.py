@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeUExponentError, SmoothnessFailureError
+from .errors import NegativeUExponentError, SmoothnessFailureError, invariant
 from .polynomials import Scalar, _frac
 
 Key = tuple[int, int, int, int, int]  # (z, eta, u, phi, w) exponents
@@ -396,8 +396,8 @@ def conjugated_higgs(m: int,
     _require_order(m)
     p = glued_gauge(m)
     out = p * higgs_matrix(phi_sym) * p.inverse()
-    assert out.trace().is_zero(), "conjugation must preserve the zero trace"
-    assert (out * out).is_zero(), "conjugation must preserve nilpotency"
+    invariant(out.trace().is_zero(), "conjugation must preserve the zero trace")
+    invariant((out * out).is_zero(), "conjugation must preserve nilpotency")
     return out
 
 
@@ -422,7 +422,7 @@ def u_exponents(m: int, phi_sym: LocalScalar | None = None
                 row.append(None)
             else:
                 exps = {k[2] for k in e.terms}
-                assert len(exps) == 1, f"mixed u-exponents in {e}"
+                invariant(len(exps) == 1, "mixed u-exponents in %s", e)
                 row.append(exps.pop())
         out.append(row)
     return out
@@ -433,11 +433,11 @@ def flow_limit(m: int, phi_sym: LocalScalar | None = None) -> LocalMatrix:
 
     Always [[0, z^(2m) phi], [0, 0]]: the section reappears with an extra
     zero of order 2m, and the bump indeterminate must be gone from the
-    limit (asserted).
+    limit (checked).
     """
     limit = flow_scaled(m, phi_sym).u_limit()
-    assert not any(e.depends_on_eta() for r in limit.rows for e in r), \
-        "flow limit must not depend on the bump function"
+    invariant(not any(e.depends_on_eta() for r in limit.rows for e in r),
+              "flow limit must not depend on the bump function")
     return limit
 
 

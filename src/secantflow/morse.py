@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curve import Divisor, HyperellipticCurve, INF, h1_dim, standard_curve
-from .errors import BoundViolationError
+from .errors import (MorseBoundViolationError, UnsupportedSupportError,
+                     WeierstrassPointError, invariant)
 
 
 @dataclass(frozen=True)
@@ -26,9 +27,9 @@ class ModuliParams:
 
     def __post_init__(self):
         if self.g < 2:
-            raise BoundViolationError(f"genus {self.g} < 2", module="morse")
+            raise MorseBoundViolationError(f"genus {self.g} < 2")
         if self.degM <= 0:
-            raise BoundViolationError(f"twist degree {self.degM} must be positive", module="morse")
+            raise MorseBoundViolationError(f"twist degree {self.degM} must be positive")
 
     @property
     def coprime(self) -> bool:
@@ -66,8 +67,8 @@ class CriticalSet:
 
 def _require_level(params: ModuliParams, d: int) -> None:
     if not params.in_range(d):
-        raise BoundViolationError(
-            f"d = {d} outside critical range ({params.d_min}..{params.d_max})", module="morse")
+        raise MorseBoundViolationError(
+            f"d = {d} outside critical range ({params.d_min}..{params.d_max})")
 
 
 def morse_index(params: ModuliParams, d: int) -> int:
@@ -109,22 +110,23 @@ def stratum_codim(params: ModuliParams, ell: int, u: int) -> int:
     """Real codimension of the level-ell stratum inside the level-u
     unstable set.
 
-    Evaluated two ways and asserted equal: the closed form
+    Evaluated two ways and checked equal: the closed form
     2(g - 1 - degE + 2 ell), and the fibrewise count (projectivized
     extension space dimension minus secant-variety dimension, doubled;
     the bundle directions cancel).
     """
     if not (2 * ell > params.degE):
-        raise BoundViolationError(f"ell = {ell} must exceed degE/2", module="morse")
+        raise MorseBoundViolationError(f"ell = {ell} must exceed degE/2")
     if not (ell < u):
-        raise BoundViolationError(f"need ell < u, got ell = {ell}, u = {u}", module="morse")
+        raise MorseBoundViolationError(f"need ell < u, got ell = {ell}, u = {u}")
     if not params.in_range(u):
-        raise BoundViolationError(f"u = {u} outside critical range", module="morse")
+        raise MorseBoundViolationError(f"u = {u} outside critical range")
     closed = 2 * (params.g - 1 - params.degE + 2 * ell)
     ambient_proj = unstable_fibre_dim(params, u) - 1      # dim P(H^1)
     secant = 2 * (u - ell) - 1                            # dim Sec_{u-ell}
     fibrewise = 2 * (ambient_proj - secant)
-    assert closed == fibrewise, (closed, fibrewise)
+    invariant(closed == fibrewise, "codimension %d != fibrewise count %d",
+              closed, fibrewise)
     return closed
 
 
@@ -139,13 +141,13 @@ class StratPoset:
         """Strata contained in the closure of stratum ell: all m with
         ell < m < u."""
         if ell not in self.strata:
-            raise BoundViolationError(f"{ell} is not a stratum", module="morse")
+            raise MorseBoundViolationError(f"{ell} is not a stratum")
         return tuple(m for m in self.strata if ell < m)
 
     def leq(self, a: int, b: int) -> bool:
         """a precedes b in closure order (b lies in closure of a)."""
         if a not in self.strata or b not in self.strata:
-            raise BoundViolationError("arguments must be strata", module="morse")
+            raise MorseBoundViolationError("arguments must be strata")
         return a <= b
 
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -243,22 +245,8 @@ def _small_points(curve: HyperellipticCurve) -> list:
     """Rational points with small x and y != 0, for representative twists."""
     pts = []
     for xn in range(-3, 4):
-        fx = curve.f(xn)
-        if fx <= 0:
+        try:
+            pts.extend(curve.rational_fibre(xn))
+        except (UnsupportedSupportError, WeierstrassPointError):
             continue
-        r = _isqrt_fraction(fx)
-        if r is not None and r != 0:
-            pts.append(curve.point(xn, r))
-            pts.append(curve.point(xn, -r))
     return pts
-
-
-def _isqrt_fraction(q):
-    from fractions import Fraction
-    import math
-    q = Fraction(q)
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None

@@ -21,14 +21,13 @@ from functools import lru_cache
 
 from .curve import (INF, CurveFunction, CurvePoint, Divisor,
                     HyperellipticCurve, valuation, validate_support)
-from .errors import (BoundViolationError, BudgetViolationError,
-                     DegenerateRankError, InadmissibleSupportError,
-                     MalformedInputError, UnsupportedSupportError,
-                     WeierstrassPointError, WitnessNotMinimalError,
-                     ZeroSectionError)
-from .morse import ModuliParams, _isqrt_fraction
-from .secant import (BundlePair, DualClass, plane_membership, pool_divisors,
-                     secant_plane, stratum_membership)
+from .errors import (BudgetViolationError, DegenerateRankError,
+                     MalformedInputError, ResolutionBoundViolationError,
+                     UnsupportedSupportError, WitnessNotMinimalError,
+                     ZeroSectionError, invariant)
+from .morse import ModuliParams
+from .secant import (BundlePair, DualClass, checked_pool, plane_membership,
+                     pool_divisors, secant_plane, stratum_membership)
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,8 @@ class CriticalPointData:
 
 def section_order(curve: HyperellipticCurve, data: CriticalPointData,
                   p: CurvePoint) -> int:
-    """Vanishing order at p of phi read as a section at this level."""
+    """Vanishing order at p of phi read as a section at this level; p is
+    infinity or a point of the curve off y = 0 (a precondition)."""
     return valuation(curve, data.phi, p) + data.bundle_divisor().coeff(p)
 
 
@@ -131,19 +131,7 @@ def _pole_fibre_points(curve: HyperellipticCurve,
     if sum(m for _, m in roots) != h.den.degree:
         raise UnsupportedSupportError(
             "denominator has irrational roots; poles are not representable")
-    points = []
-    for x0, _ in roots:
-        fx = curve.f(x0)
-        if fx == 0:
-            raise WeierstrassPointError(
-                f"denominator vanishes at the Weierstrass fibre x = {x0}")
-        y0 = _isqrt_fraction(fx)
-        if y0 is None:
-            raise UnsupportedSupportError(
-                f"fibre over x = {x0} has no rational points")
-        points.append(curve.point(x0, y0))
-        points.append(curve.point(x0, -y0))
-    return points
+    return [p for x0, _ in roots for p in curve.rational_fibre(x0)]
 
 
 def _validate_critical_point(curve: HyperellipticCurve,
@@ -151,11 +139,11 @@ def _validate_critical_point(curve: HyperellipticCurve,
     if data.phi.is_zero():
         raise ZeroSectionError("phi must be a nonzero section")
     if 2 * data.d <= data.degE:
-        raise BoundViolationError(
-            f"level d = {data.d} is not above degE/2 = {data.degE}/2", module="resolution")
+        raise ResolutionBoundViolationError(
+            f"level d = {data.d} is not above degE/2 = {data.degE}/2")
     if data.degE + data.degM - 2 * data.d < 0:
-        raise BoundViolationError(
-            f"level d = {data.d} leaves the section bundle with negative degree", module="resolution")
+        raise ResolutionBoundViolationError(
+            f"level d = {data.d} leaves the section bundle with negative degree")
     for rep in (data.L1_rep, data.L2_rep, data.M_rep):
         validate_support(curve, rep)
     B = data.bundle_divisor()
@@ -193,9 +181,7 @@ def downward_limit(curve: HyperellipticCurve, top: CriticalPointData,
     zero of order exactly 2 * mult at each witness point, and that gain
     is verified here through the valuation arithmetic.
     """
-    D = x.witness
-    if D.degree < 1:
-        raise BudgetViolationError("a flow line needs a nonempty witness")
+    D = x.witness  # FlowLinePoint guarantees deg D >= 1
     if 2 * D.degree >= top.delta:
         raise BudgetViolationError(
             f"deg D = {D.degree} must stay below (d1 - d2)/2 = {top.delta}/2")
@@ -217,8 +203,9 @@ def downward_limit(curve: HyperellipticCurve, top: CriticalPointData,
     _validate_critical_point(curve, limit)
     for p, mult in D.items():
         gained = section_order(curve, limit, p)
-        assert gained == before[p] + 2 * mult, \
-            f"order at {p!r} went {before[p]} -> {gained}, not +{2 * mult}"
+        invariant(gained == before[p] + 2 * mult,
+                  "order at %r went %d -> %d, not +%d",
+                  p, before[p], gained, 2 * mult)
     return limit
 
 
@@ -239,9 +226,9 @@ def upward_targets(curve: HyperellipticCurve, bottom: CriticalPointData,
             field="params")
     ell = bottom.d
     if not params.in_range(ell):
-        raise BoundViolationError(
-            f"level {ell} is outside {params.level_range()}", module="resolution")
-    pool = _checked_pool(curve, pool)
+        raise ResolutionBoundViolationError(
+            f"level {ell} is outside {params.level_range()}")
+    pool = checked_pool(curve, pool)
     cap = {p: section_order(curve, bottom, p) // 2 for p in pool}
     out = []
     max_deg = (params.degE + params.degM - 2 * ell - 1) // 2
@@ -250,17 +237,6 @@ def upward_targets(curve: HyperellipticCurve, bottom: CriticalPointData,
             if all(mult <= cap[p] for p, mult in D.items()):
                 out.append((D, ell + n))
     return out
-
-
-def _checked_pool(curve: HyperellipticCurve, pool) -> tuple:
-    pool = tuple(pool)
-    if len(set(pool)) != len(pool):
-        raise InadmissibleSupportError("pool points must be distinct")
-    for p in pool:
-        if p.at_infinity:
-            raise InadmissibleSupportError("pool points must be affine")
-    validate_support(curve, Divisor([(p, 1) for p in pool]))
-    return pool
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +329,19 @@ def enumerate_chains(curve: HyperellipticCurve, top: CriticalPointData,
     Recursive composition of the budget u - ell into pool divisors, in
     lexicographic order; each step carries the canonical class of its
     witness, the arrival criterion is enforced, and the divisibility of
-    the section at each arrival is asserted (it holds automatically for
+    the section at each arrival is checked (it holds automatically for
     limits of downward flows).
     """
     params = top.params(curve)
     u = top.d
     for name, level in (("u", u), ("ell", ell)):
         if not params.in_range(level):
-            raise BoundViolationError(
-                f"{name} = {level} is outside {params.level_range()}", module="resolution")
+            raise ResolutionBoundViolationError(
+                f"{name} = {level} is outside {params.level_range()}")
     if ell >= u:
-        raise BoundViolationError(
-            f"need ell < u, got ell = {ell}, u = {u}", module="resolution")
-    pool = _checked_pool(curve, pool)
+        raise ResolutionBoundViolationError(
+            f"need ell < u, got ell = {ell}, u = {u}")
+    pool = checked_pool(curve, pool)
     _validate_critical_point(curve, top)
     chains: list[ChainRecord] = []
 
@@ -377,13 +353,14 @@ def enumerate_chains(curve: HyperellipticCurve, top: CriticalPointData,
             return  # no flow line may arrive from this level
         pair = current.pair()
         for n in range(1, remaining + 1):
-            assert 2 * n < current.delta, "witness outside the secant bound"
+            invariant(2 * n < current.delta, "witness outside the secant bound")
             for D in pool_divisors(pool, n):
                 cls = _canonical_class(curve, pair, D, pool)
                 x = FlowLinePoint(cls, D, Fraction(0))
                 limit = downward_limit(curve, current, x)
                 for p, mult in D.items():
-                    assert section_order(curve, limit, p) >= 2 * mult
+                    invariant(section_order(curve, limit, p) >= 2 * mult,
+                              "section lost its double zero at %r", p)
                 extend(limit, remaining - n, steps + [(x, limit)])
 
     extend(top, u - ell, [])
@@ -441,7 +418,7 @@ def commuting_check(curve: HyperellipticCurve, top: CriticalPointData,
     chains sharing a first step must equal the chain count from that
     step's downward limit, counting the empty continuation once.
     """
-    pool = _checked_pool(curve, pool)
+    pool = checked_pool(curve, pool)
     chains = enumerate_chains(curve, top, ell, pool)
     commute_failures = 0
     groups: dict = {}

@@ -31,6 +31,7 @@ from .curve import (
     SectionSpace,
     jet,
     riemann_roch_space,
+    validate_support,
 )
 from .polynomials import Poly
 from .errors import (
@@ -180,8 +181,7 @@ def _validate_witness(curve: HyperellipticCurve, D: Divisor) -> None:
         if p.y == 0:
             raise InadmissibleSupportError(
                 f"witness point x = {p.x} is a Weierstrass point")
-        if not curve.is_on_curve(p.x, p.y):
-            raise InadmissibleSupportError(f"{p!r} is not on the curve")
+    validate_support(curve, D)
 
 
 def embedding_matrix(curve: HyperellipticCurve, pair: BundlePair,
@@ -209,6 +209,7 @@ def embedding_matrix(curve: HyperellipticCurve, pair: BundlePair,
 
 def point_class(curve: HyperellipticCurve, pair: BundlePair, p) -> DualClass:
     """Image of a curve point in the dual space (the N = 1 column)."""
+    _validate_witness(curve, Divisor.of_point(p))
     (col,) = _jet_block(curve, pair, p, 1)
     return DualClass(col)
 
@@ -221,11 +222,10 @@ def secant_plane(curve: HyperellipticCurve, pair: BundlePair,
     DegenerateRankError if the matrix fails to have rank deg D inside it
     (which the degree bound rules out; it is checked anyway).
     """
-    _validate_witness(curve, D)
     if D.degree >= pair.delta:
         raise BoundViolationError(
             f"deg D = {D.degree} must stay below d1 - d2 = {pair.delta}")
-    mat = embedding_matrix(curve, pair, D)
+    mat = embedding_matrix(curve, pair, D)  # validates the witness
     r = linalg.rank(mat)
     if r != D.degree:
         raise DegenerateRankError(
@@ -286,6 +286,18 @@ def pool_divisors(pool, N: int):
         yield Divisor([(pool[i], 1) for i in combo])
 
 
+def checked_pool(curve: HyperellipticCurve, pool) -> tuple:
+    """The pool as a tuple, after checking its points are distinct,
+    affine, on the curve and off y = 0."""
+    pool = tuple(pool)
+    if len(set(pool)) != len(pool):
+        raise InadmissibleSupportError("pool points must be distinct")
+    if any(p.at_infinity for p in pool):
+        raise InadmissibleSupportError("pool points must be affine")
+    validate_support(curve, Divisor([(p, 1) for p in pool]))
+    return pool
+
+
 def stratum_membership(curve: HyperellipticCurve, pair: BundlePair,
                        e: DualClass, pool, maxN: int) -> StratumResult | None:
     """Least N <= maxN with e on the plane of a degree-N pool divisor.
@@ -300,8 +312,7 @@ def stratum_membership(curve: HyperellipticCurve, pair: BundlePair,
             f"maxN = {maxN} must stay below d1 - d2 = {pair.delta}")
     if maxN < 1:
         raise BoundViolationError("maxN must be >= 1")
-    if len(set(pool)) != len(pool):
-        raise InadmissibleSupportError("pool points must be distinct")
+    pool = checked_pool(curve, pool)
     for N in range(1, maxN + 1):
         hits = [D for D in pool_divisors(pool, N)
                 if plane_membership(e, secant_plane(curve, pair, D))]

@@ -239,6 +239,41 @@ def test_exit_two_on_out_of_range_level(files):
     assert "[resolution]" in res.stderr
 
 
+OFF_CURVE = {"x": "2", "y": "3", "mult": 1}             # f(2) = 31
+
+
+@pytest.mark.parametrize("where", ["divisor", "pool", "top"])
+def test_exit_two_on_off_curve_point(files, tmp_path, where):
+    payload = {"divisor": {"inf": 0, "affine": [OFF_CURVE]},
+               "pool": {"points": POOL_6["points"][:1] + [OFF_CURVE]},
+               "top": {**TOP, "L1": {"inf": 2, "affine": [OFF_CURVE]}}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload[where]))
+    if where == "divisor":
+        args = ["rr-space", "--curve", files["curve"], "--divisor", str(bad)]
+    else:
+        paths = {"top": files["top"], "pool": files["pool"], where: str(bad)}
+        args = ["chains", "--curve", files["curve"], "--top", paths["top"],
+                "--ell", "2", "--pool", paths["pool"]]
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stderr == ("input error [curve]: (2, 3) does not satisfy "
+                          "y^2 = f(x)\n")
+
+
+def test_exit_two_on_pole_over_negative_fibre(files, tmp_path):
+    # phi = 1/(x + 2) and f(-2) = -29: no rational points over x = -2
+    top = tmp_path / "top.json"
+    top.write_text(json.dumps(
+        {**TOP, "M": {"inf": 10, "affine": []},
+         "phi": {"a": ["1"], "b": [], "den": ["2", "1"]}}))
+    res = run_cli("chains", "--curve", files["curve"], "--top", str(top),
+                  "--ell", "2", "--pool", files["pool"])
+    assert res.returncode == 2
+    assert res.stderr == ("input error [curve]: fibre over x = -2 has no "
+                          "rational points\n")
+
+
 def test_exit_two_on_unknown_subcommand():
     assert run_cli("not-a-command").returncode == 2
 

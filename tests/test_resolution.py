@@ -132,6 +132,15 @@ def test_irrational_pole_fibre_rejected():
                             Divisor({INF: 10}), h)
 
 
+def test_negative_pole_fibre_rejected(curve):
+    # f(-2) = -29 < 0 on y^2 = x^5 - x + 1: no rational points over x = -2
+    h = CurveFunction(curve, Poly([1]), Poly.zero(), Poly([2, 1]))
+    with pytest.raises(UnsupportedSupportError,
+                       match="fibre over x = -2 has no rational points"):
+        make_critical_point(curve, Divisor({INF: 3}), Divisor({INF: -2}),
+                            Divisor({INF: 10}), h)
+
+
 def test_section_effectivity_enforced():
     c = standard_curve(2)                # f(0) = 4: rational fibre (0, ±2)
     h = CurveFunction(c, Poly([1]), Poly.zero(), Poly([0, 1]))  # 1/x

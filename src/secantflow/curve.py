@@ -16,7 +16,9 @@ valuation accounting before it is returned.
 
 Point admissibility (y^2 = f(x), and y != 0 on a support) is checked where
 data enters: ``HyperellipticCurve.point`` when a point is made,
-``validate_support`` in every function taking a divisor, witness or pool,
+``validate_support`` in every function taking a divisor, witness or pool
+(``serialize.divisor_from_json``, whose points come from
+``HyperellipticCurve.point``, adds only ``check_off_weierstrass``),
 and the y0^2 = f(x0) guard of ``series.sqrt_series`` wherever y is
 expanded.  The per-point kernels (``y_series``, ``valuation``, ``jet``,
 ``resolution.section_order``) take a point of the curve as a precondition
@@ -136,7 +138,7 @@ class HyperellipticCurve:
         return list(_y_series_cached(self, x0, y0, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _y_series_cached(curve: HyperellipticCurve, x0: Fraction, y0: Fraction,
                      n: int) -> tuple[Fraction, ...]:
     fa = series.shifted_poly(curve.f, x0, n)
@@ -290,9 +292,14 @@ def validate_support(curve: HyperellipticCurve, D: Divisor) -> None:
     for p, _ in D.affine_items():
         if not curve.is_on_curve(p.x, p.y):
             raise UnsupportedSupportError(f"{p!r} is not on the curve")
-        if p.y == 0:
-            raise UnsupportedSupportError(
-                f"{p!r} is a Weierstrass point; support must avoid y = 0")
+        check_off_weierstrass(p)
+
+
+def check_off_weierstrass(p: CurvePoint) -> None:
+    """Reject an affine support point with y = 0."""
+    if p.y == 0:
+        raise UnsupportedSupportError(
+            f"{p!r} is a Weierstrass point; support must avoid y = 0")
 
 
 # ---------------------------------------------------------------------------

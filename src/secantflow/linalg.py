@@ -9,6 +9,7 @@ implementation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Matrix = list  # list[list[Fraction]]
@@ -91,22 +92,11 @@ def matvec(m: Matrix, v: Vector) -> Vector:
     return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m]
 
 
-def solve(m: Matrix, b: Vector) -> Vector | None:
-    """One solution of m x = b, or None if inconsistent."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    aug = [list(row) + [bv] for row, bv in zip(m, b)]
-    r, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][cols]
-    return x
-
-
-def in_column_span(m: Matrix, v: Vector) -> bool:
-    return solve(m, v) is not None
+def integral(v: Vector) -> list[int]:
+    """v times the lcm of its denominators: integers on the same line
+    through the origin, so dot products with v vanish together."""
+    den = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v]
 
 
 def augment(a: Matrix, b: Matrix) -> Matrix:

@@ -296,7 +296,7 @@ def with_phases(chain: ChainRecord, phases) -> ChainRecord:
     return ChainRecord(chain.top, steps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _canonical_class(curve: HyperellipticCurve, pair: BundlePair,
                      D: Divisor, pool: tuple) -> DualClass:
     """A deterministic class whose minimal pool witness is exactly D.
@@ -319,6 +319,27 @@ def _canonical_class(curve: HyperellipticCurve, pair: BundlePair,
             return cand
     raise DegenerateRankError(
         f"no class with minimal witness {D!r} found on its plane")
+
+
+@lru_cache(maxsize=1024)
+def _chain_step(curve: HyperellipticCurve, node: CriticalPointData,
+                D: Divisor,
+                pool: tuple) -> tuple[FlowLinePoint, CriticalPointData]:
+    """One chain step from node along witness D: the flow-line point with
+    D's canonical class and its downward limit, whose section is checked
+    to vanish to order >= 2 * mult at each witness point (automatic for
+    limits of downward flows).
+
+    Computed and checked once per (curve, node, D, pool); every chain and
+    every re-walk through the node shares the result.
+    """
+    cls = _canonical_class(curve, node.pair(), D, pool)
+    x = FlowLinePoint(cls, D, Fraction(0))
+    limit = downward_limit(curve, node, x)
+    for p, mult in D.items():
+        invariant(section_order(curve, limit, p) >= 2 * mult,
+                  "section lost its double zero at %r", p)
+    return x, limit
 
 
 def enumerate_chains(curve: HyperellipticCurve, top: CriticalPointData,
@@ -351,16 +372,10 @@ def enumerate_chains(curve: HyperellipticCurve, top: CriticalPointData,
             return
         if 2 * current.d >= params.degE + params.degM:
             return  # no flow line may arrive from this level
-        pair = current.pair()
         for n in range(1, remaining + 1):
             invariant(2 * n < current.delta, "witness outside the secant bound")
             for D in pool_divisors(pool, n):
-                cls = _canonical_class(curve, pair, D, pool)
-                x = FlowLinePoint(cls, D, Fraction(0))
-                limit = downward_limit(curve, current, x)
-                for p, mult in D.items():
-                    invariant(section_order(curve, limit, p) >= 2 * mult,
-                              "section lost its double zero at %r", p)
+                x, limit = _chain_step(curve, current, D, pool)
                 extend(limit, remaining - n, steps + [(x, limit)])
 
     extend(top, u - ell, [])

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from operator import mul
 
 from . import linalg
 from .curve import (
@@ -126,8 +127,21 @@ class SecantPlane:
     def matrix(self) -> list[list[Fraction]]:
         return [list(row) for row in self.span]
 
+    @cached_property
+    def annihilator(self) -> tuple[tuple[int, ...], ...]:
+        """Integer rows spanning the left kernel of the jet matrix, n - N
+        of them (each kernel vector cleared of denominators).
 
-@lru_cache(maxsize=None)
+        By duality these are the sections of the twist vanishing on the
+        witness, so a class lies on the plane exactly when every row
+        pairs to zero with it.  Computed on the first membership test:
+        a plane that is never tested pays no elimination for it.
+        """
+        return tuple(tuple(linalg.integral(v)) for v in
+                     linalg.nullspace(linalg.transpose(self.matrix())))
+
+
+@lru_cache(maxsize=128)
 def twist_section_space(curve: HyperellipticCurve, pair: BundlePair) -> SectionSpace:
     """Basis of sections of (L1 - L2 + K), the space the jet columns are
     functionals on; dimension g - 1 + (d1 - d2) by duality."""
@@ -140,7 +154,7 @@ def twist_section_space(curve: HyperellipticCurve, pair: BundlePair) -> SectionS
     return space
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _jet_block(curve: HyperellipticCurve, pair: BundlePair, point, order: int):
     """Columns (orders 0..order-1) of the jet block at one point.
 
@@ -214,13 +228,16 @@ def point_class(curve: HyperellipticCurve, pair: BundlePair, p) -> DualClass:
     return DualClass(col)
 
 
+@lru_cache(maxsize=4096)
 def secant_plane(curve: HyperellipticCurve, pair: BundlePair,
                  D: Divisor) -> SecantPlane:
     """The plane spanned by D, for deg D < d1 - d2.
 
     Raises BoundViolationError outside the degree bound and
     DegenerateRankError if the matrix fails to have rank deg D inside it
-    (which the degree bound rules out; it is checked anyway).
+    (which the degree bound rules out; it is checked anyway).  A plane is
+    built and checked once per (curve, pair, D) and then shared; a call
+    that raises is not remembered, so bad input raises every time.
     """
     if D.degree >= pair.delta:
         raise BoundViolationError(
@@ -234,11 +251,13 @@ def secant_plane(curve: HyperellipticCurve, pair: BundlePair,
 
 
 def plane_membership(e: DualClass, plane: SecantPlane) -> bool:
-    """Exact test: does the class lie on the plane?"""
+    """Exact test: does the class lie on the plane?  It does exactly when
+    every row of the plane's annihilator pairs to zero with it."""
     if e.n != plane.n_rows:
         raise DimensionMismatchError(
             f"class has {e.n} coordinates, ambient has {plane.n_rows}")
-    return linalg.in_column_span(plane.matrix(), list(e.coords))
+    x = linalg.integral(e.coords)
+    return not any(sum(map(mul, row, x)) for row in plane.annihilator)
 
 
 def plane_intersection(p1: SecantPlane, p2: SecantPlane) -> SecantPlane | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curve import (INF, CurveFunction, CurvePoint, Divisor,
-                    HyperellipticCurve, make_curve, validate_support)
+                    HyperellipticCurve, check_off_weierstrass, make_curve)
 from .errors import MalformedInputError
 from .polynomials import Poly
 
@@ -113,7 +113,8 @@ def divisor_from_json(curve: HyperellipticCurve, obj,
         p = point_from_json(curve, entry, field=here)
         coeffs.append((p, mult))
     D = Divisor(coeffs)
-    validate_support(curve, D)
+    for p, _ in D.affine_items():  # curve.point has checked y^2 = f(x)
+        check_off_weierstrass(p)
     return D
 
 

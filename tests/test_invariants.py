@@ -52,6 +52,16 @@ x = FlowLinePoint(point_class(curve, top.pair(), p), Divisor.of_point(p))
 r.section_order = lambda curve, data, p: 0
 downward_limit(curve, top, x)
 """,
+    "criterion_7_memoized_chain_step": """\
+import secantflow.resolution as r
+curve = make_curve([1, -1, 0, 0, 0, 1])
+one = CurveFunction(curve, Poly([1]), Poly.zero())
+top = make_critical_point(curve, Divisor({INF: 3}), Divisor({INF: -2}),
+                          Divisor({INF: 6}), one)
+pool = [curve.point(0, 1), curve.point(1, 1)]
+r.section_order = lambda curve, data, p: 0
+enumerate_chains(curve, top, 2, pool)
+""",
 }
 
 

@@ -44,20 +44,46 @@ def test_nullspace_is_kernel_of_right_dimension(m):
         assert linalg.rank(linalg.from_columns(basis)) == len(basis)
 
 
+def in_span_sympy(m, v):
+    """The oracle for span membership: rank([m | v]) == rank(m)."""
+    return (to_sympy(linalg.augment(m, [[x] for x in v])).rank()
+            == to_sympy(m).rank())
+
+
+def left_kernel(m):
+    return linalg.nullspace(linalg.transpose(m))
+
+
 @given(matrices(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_solve_agrees_with_matvec(m, data):
+def test_left_kernel_annihilates_image(m, data):
     cols = len(m[0])
     x = data.draw(st.lists(small_fracs, min_size=cols, max_size=cols))
     b = linalg.matvec(m, x)
-    sol = linalg.solve(m, b)
-    assert sol is not None
-    assert linalg.matvec(m, sol) == b
+    assert in_span_sympy(m, b)
+    kernel = left_kernel(m)
+    assert len(kernel) == len(m) - to_sympy(m).rank()
+    for a in kernel:
+        assert sum(p * q for p, q in zip(a, b)) == 0
 
 
-def test_solve_inconsistent():
+def test_left_kernel_detects_inconsistent():
     m = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert linalg.solve(m, [Fraction(1), Fraction(2)]) is None
+    b = [Fraction(1), Fraction(2)]
+    assert not in_span_sympy(m, b)
+    assert any(sum(p * q for p, q in zip(a, b)) for a in left_kernel(m))
+
+
+@given(st.lists(small_fracs, min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_integral_scales_to_integers(v):
+    w = linalg.integral(v)
+    assert all(type(x) is int for x in w)
+    nonzero = [(a, b) for a, b in zip(v, w) if a]
+    assert [a == 0 for a in v] == [b == 0 for b in w]
+    if nonzero:
+        scale = nonzero[0][1] / nonzero[0][0]
+        assert scale > 0 and all(b == a * scale for a, b in nonzero)
 
 
 @given(matrices(4, 3), matrices(4, 3))
@@ -67,8 +93,8 @@ def test_intersection_inside_both_spans(a, b):
         return
     inter = linalg.column_span_intersection(a, b)
     for v in inter:
-        assert linalg.in_column_span(a, v)
-        assert linalg.in_column_span(b, v)
+        assert in_span_sympy(a, v)
+        assert in_span_sympy(b, v)
     # dimension law: dim(A) + dim(B) = dim(A+B) + dim(A∩B)
     ra, rb = linalg.rank(a), linalg.rank(b)
     rsum = linalg.rank(linalg.augment(a, b))

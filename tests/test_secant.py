@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -299,3 +300,64 @@ def test_rank_law_on_sampled_witnesses(data):
                              min_size=n, max_size=n))
     D = Divisor([(pool[i], 1) for i in idx])
     assert secant_plane(curve, pair, D).rank == n
+
+
+# -- membership through the annihilator, against sympy -----------------------
+
+ORACLE_CURVE = make_curve([1, 4, 0, -5, 0, 1])  # y^2 = 1 + x(x^2-1)(x^2-4)
+ORACLE_POOL = [ORACLE_CURVE.point(x, y)
+               for x, y in ((0, 1), (1, -1), (-1, 1), (2, 1), (-2, -1))]
+small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _l1_styles(p, q):
+    """L1 of degree d at infinity, partly at two pool points, and with a
+    pole at a pool point."""
+    return (
+        lambda d: Divisor({INF: d}),
+        lambda d: (Divisor({INF: d - 2}) + Divisor.of_point(p)
+                   + Divisor.of_point(q)),
+        lambda d: Divisor({INF: d + 2}) + Divisor.of_point(p, -2),
+    )
+
+
+def _on_plane_sympy(mat, coords):
+    m = sympy.Matrix(mat)
+    return m.row_join(sympy.Matrix(coords)).rank() == m.rank()
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_membership_agrees_with_sympy_rank(data):
+    curve, pool = ORACLE_CURVE, ORACLE_POOL
+    delta = data.draw(st.integers(5, 6))
+    make_l1 = data.draw(st.sampled_from(_l1_styles(pool[0], pool[1])))
+    pair = BundlePair(delta, 0, delta, make_l1(delta), Divisor.zero(),
+                      Divisor({INF: delta}))
+    N = data.draw(st.integers(1, delta - 1))
+    idx = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                             min_size=N, max_size=N))
+    D = Divisor([(pool[i], 1) for i in idx])
+    plane = secant_plane(curve, pair, D)
+    mat, n = plane.matrix(), plane.n_rows
+
+    assert len(plane.annihilator) == n - N
+    for row in plane.annihilator:
+        for col in linalg.columns(mat):
+            assert sum(a * b for a, b in zip(row, col)) == 0
+
+    weights = data.draw(st.lists(small_fracs, min_size=N, max_size=N)
+                        .filter(any))
+    inside = tuple(sum(w * x for w, x in zip(weights, row)) for row in mat)
+    outside = tuple(data.draw(st.lists(small_fracs, min_size=n, max_size=n)
+                              .filter(any)))
+    for coords in (inside, outside):
+        assert (plane_membership(DualClass(coords), plane)
+                == _on_plane_sympy(mat, coords))
+    assert plane_membership(DualClass(inside), plane)
+
+    assert secant_plane(curve, pair, D) is plane
+    bad = D - Divisor.of_point(pool[idx[0]], N + 1)  # not effective
+    for _ in range(2):
+        with pytest.raises(InadmissibleSupportError):
+            secant_plane(curve, pair, bad)

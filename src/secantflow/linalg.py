@@ -1,7 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows of Fractions.  Everything reduces to one
-fraction-exact Gaussian elimination; no pivoting heuristics are needed
+fraction-free Gauss-Jordan elimination over the integers: each row is
+cleared of denominators, then Bareiss's update keeps every entry an
+integer (a minor of the input) without gcd normalisation (E. H. Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968).  No pivoting heuristics are needed
 because there is no roundoff.  These routines are deliberately small and
 boring: the test suite cross-checks each of them against an independent
 implementation.
@@ -12,12 +16,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import invariant
+
 Matrix = list  # list[list[Fraction]]
 Vector = list  # list[Fraction]
-
-
-def copy_matrix(m: Matrix) -> Matrix:
-    return [list(row) for row in m]
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -34,29 +36,44 @@ def columns(m: Matrix) -> list[Vector]:
     return transpose(m)
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    a = copy_matrix(m)
+def rref(m: Matrix) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free reduced row echelon form: (rows, pivots, d).
+
+    ``rows`` is d times the RREF of m, in integers, and ``pivots`` lists
+    the pivot column indices; d is nonzero and every pivot row carries d
+    at its pivot.  Each step replaces every other row a[i] by
+    (pv * a[i] - a[i][c] * a[r]) // prev, an exact division (Sylvester's
+    identity), with pv the new pivot and prev the one before it.
+    """
+    a = [_integral(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
+        top = a[r]
+        pv = top[c]
         for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            if i == r:
+                continue
+            f = a[i][c]
+            if f:
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], top)]
+            elif pv != prev:
+                a[i] = [pv * x // prev for x in a[i]]
         pivots.append(c)
+        prev = pv
         r += 1
         if r == rows:
             break
-    return a, pivots
+    invariant(prev != 0 and all(a[i][c] == prev for i, c in enumerate(pivots)),
+              "fraction-free elimination lost its common pivot %s", prev)
+    return a, pivots, prev
 
 
 def rank(m: Matrix) -> int:
@@ -76,14 +93,14 @@ def nullspace(m: Matrix, cols: int | None = None) -> list[Vector]:
         return []
     if rows == 0:
         return [[Fraction(int(i == j)) for i in range(cols)] for j in range(cols)]
-    r, pivots = rref(m)
+    r, pivots, d = rref(m)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
+            v[pc] = Fraction(-r[i][fc], d)
         basis.append(v)
     return basis
 
@@ -95,6 +112,13 @@ def matvec(m: Matrix, v: Vector) -> Vector:
 def integral(v: Vector) -> list[int]:
     """v times the lcm of its denominators: integers on the same line
     through the origin, so dot products with v vanish together."""
+    return _integral(v)
+
+
+def _integral(v: Vector) -> list[int]:
+    # rref clears its rows through this private name, so per-call
+    # instrumentation of the public functions (perfbench/tracer.py)
+    # records one rref span, not one more per row.
     den = math.lcm(*(x.denominator for x in v))
     return [x.numerator * (den // x.denominator) for x in v]
 
@@ -127,5 +151,5 @@ def column_span_intersection(a: Matrix, b: Matrix) -> list[Vector]:
     # the vectors w span the intersection; reduce to a basis
     if not inter:
         return []
-    r, pivots = rref(from_columns(inter))
+    pivots = rref(from_columns(inter))[1]
     return [inter[c] for c in pivots]

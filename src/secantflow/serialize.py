@@ -13,7 +13,7 @@ from fractions import Fraction
 from .curve import (INF, CurveFunction, CurvePoint, Divisor,
                     HyperellipticCurve, check_off_weierstrass, make_curve)
 from .errors import MalformedInputError
-from .polynomials import Poly
+from .polynomials import ROOT_SEARCH_MAX_BITS, Poly
 
 
 def frac_to_str(q) -> str:
@@ -151,6 +151,11 @@ def function_from_json(curve: HyperellipticCurve, obj,
     if den.is_zero():
         raise MalformedInputError("denominator must be nonzero",
                                   field=f"{field}.den")
+    if den.coeff_bits > ROOT_SEARCH_MAX_BITS:
+        raise MalformedInputError(
+            f"coefficients above {ROOT_SEARCH_MAX_BITS} bits (after clearing "
+            "denominators) are refused: the poles are found by searching "
+            "their divisors", field=f"{field}.den")
     return CurveFunction(curve, a, b, den)
 
 

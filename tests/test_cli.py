@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -272,6 +273,22 @@ def test_exit_two_on_pole_over_negative_fibre(files, tmp_path):
     assert res.returncode == 2
     assert res.stderr == ("input error [curve]: fibre over x = -2 has no "
                           "rational points\n")
+
+
+def test_exit_two_on_oversized_pole_coefficients(files, tmp_path):
+    # a 19-digit constant term would send the pole search into ~10^9
+    # trial divisions; it is refused before any curve work starts
+    top = tmp_path / "top.json"
+    top.write_text(json.dumps(
+        {**TOP, "phi": {"a": ["1"], "b": [],
+                        "den": ["1000000000000000003", "1"]}}))
+    started = time.perf_counter()
+    res = run_cli("chains", "--curve", files["curve"], "--top", str(top),
+                  "--ell", "1", "--pool", files["pool"])
+    assert time.perf_counter() - started < 5
+    assert res.returncode == 2
+    assert res.stderr.startswith("input error [cli]: phi.den: coefficients "
+                                 "above 20 bits")
 
 
 def test_exit_two_on_unknown_subcommand():

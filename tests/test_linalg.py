@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,62 @@ def matrices(max_r=5, max_c=5):
 def to_sympy(m):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                          for row in m])
+
+
+wide_fracs = st.fractions(min_value=-1000, max_value=1000,
+                          max_denominator=10**6)
+
+
+@st.composite
+def jet_shaped(draw):
+    """Up to 8 x 12, denominators up to 10^6: either a product of a random
+    r x k and k x c pair (rank at most k, often deficient) or a sparse
+    random matrix, then some rows and columns zeroed."""
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(r, c)))
+        left = draw(st.lists(st.lists(wide_fracs, min_size=k, max_size=k),
+                             min_size=r, max_size=r))
+        right = draw(st.lists(st.lists(wide_fracs, min_size=c, max_size=c),
+                              min_size=k, max_size=k))
+        m = [[sum((row[t] * right[t][j] for t in range(k)), Fraction(0))
+              for j in range(c)] for row in left]
+    else:
+        entry = st.one_of(st.just(Fraction(0)), wide_fracs)
+        m = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                          min_size=r, max_size=r))
+    zero_rows = draw(st.sets(st.integers(0, r - 1)))
+    zero_cols = draw(st.sets(st.integers(0, c - 1)))
+    return [[Fraction(0) if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+def assert_rref_matches_sympy(m):
+    rows, pivots, d = linalg.rref(m)
+    expected, expected_pivots = to_sympy(m).rref()
+    assert pivots == list(expected_pivots)
+    assert d != 0 and all(type(x) is int for row in rows for x in row)
+    assert len(rows) == len(m)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            assert x == d * expected[i, j], (i, j)
+
+
+@given(jet_shaped())
+@settings(max_examples=150, deadline=None)
+def test_rref_is_a_multiple_of_sympy_rref(m):
+    assert_rref_matches_sympy(m)
+
+
+@pytest.mark.parametrize("m", [
+    [[0, 0, 1], [0, 2, 3], [5, 0, 0]],            # every pivot needs a swap
+    [[0, 0], [0, 0], [0, 7]],                     # zero column, zero rows
+    [[1, 2, 3], [2, 4, 6], [0, 0, 1], [3, 1, 0]],  # deficient, then a swap
+    [[Fraction(1, 999983), Fraction(2, 10**6)],
+     [Fraction(-3, 7), Fraction(5, 999999)]],
+], ids=["swaps", "zeros", "deficient", "large-denominators"])
+def test_rref_concrete(m):
+    assert_rref_matches_sympy([[Fraction(x) for x in row] for row in m])
 
 
 @given(matrices())

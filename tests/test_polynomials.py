@@ -105,3 +105,11 @@ def test_rational_roots_complete():
 def test_rational_roots_zero_root():
     p = Poly.monomial(2) * Poly.linear_root(5)
     assert p.rational_roots() == [(Fraction(0), 2), (Fraction(5), 1)]
+
+
+def test_rational_roots_refuses_wide_coefficients():
+    edge = Poly([-(2 ** 20 - 1), 1])                 # 20 bits: searched
+    assert edge.rational_roots() == [(Fraction(2 ** 20 - 1), 1)]
+    assert Poly([1, Fraction(1, 2 ** 20)]).coeff_bits == 21
+    with pytest.raises(ValueError):
+        Poly([1, Fraction(1, 2 ** 20)]).rational_roots()

@@ -7,7 +7,8 @@ the dual class of its initial condition together with the minimal secant
 witness of that class; the downward limit twists the two summands by the
 witness and the section reappears with a double zero along it.
 
-Chains of such steps are the strata of the iterated-blowup picture, and
+Chains of such steps are the strata of the iterated-blowup picture: the
+paths of a DAG of critical points, each node expanded once.
 ``commuting_check`` verifies on every enumerated chain that projecting to
 the first secant point commutes with erasing the circle phases, together
 with the exact fibre-counting law of the first-step projection.
@@ -27,7 +28,8 @@ from .errors import (BudgetViolationError, DegenerateRankError,
                      ZeroSectionError, invariant)
 from .morse import ModuliParams
 from .secant import (BundlePair, DualClass, checked_pool, plane_membership,
-                     pool_divisors, secant_plane, stratum_membership)
+                     pool_divisors, secant_plane, stratum_membership,
+                     stratum_search)
 
 
 @dataclass(frozen=True)
@@ -314,32 +316,41 @@ def _canonical_class(curve: HyperellipticCurve, pair: BundlePair,
         if not any(coords):
             continue
         cand = DualClass(coords)
-        res = stratum_membership(curve, pair, cand, pool, N)
+        res = stratum_search(curve, pair, cand, pool, N)
         if res is not None and res.N == N and D in res.witnesses:
             return cand
     raise DegenerateRankError(
         f"no class with minimal witness {D!r} found on its plane")
 
 
-@lru_cache(maxsize=1024)
-def _chain_step(curve: HyperellipticCurve, node: CriticalPointData,
-                D: Divisor,
-                pool: tuple) -> tuple[FlowLinePoint, CriticalPointData]:
-    """One chain step from node along witness D: the flow-line point with
-    D's canonical class and its downward limit, whose section is checked
-    to vanish to order >= 2 * mult at each witness point (automatic for
-    limits of downward flows).
-
-    Computed and checked once per (curve, node, D, pool); every chain and
-    every re-walk through the node shares the result.
+@lru_cache(maxsize=256)
+def _continuations(curve: HyperellipticCurve, node: CriticalPointData,
+                   ell: int, pool: tuple) -> tuple:
+    """Every step sequence from node down to level ell, in lexicographic
+    order: ((),) at ell itself, () when no flow line may arrive at node's
+    level.  Each step is a flow-line point with its witness's canonical
+    class and its downward limit, whose section is checked to vanish to
+    order >= 2 * mult at each witness point (automatic for limits of
+    downward flows).  Expanded once per (curve, node, ell, pool); every
+    path and fibre count through the node shares the result.
     """
-    cls = _canonical_class(curve, node.pair(), D, pool)
-    x = FlowLinePoint(cls, D, Fraction(0))
-    limit = downward_limit(curve, node, x)
-    for p, mult in D.items():
-        invariant(section_order(curve, limit, p) >= 2 * mult,
-                  "section lost its double zero at %r", p)
-    return x, limit
+    if node.d == ell:
+        return ((),)
+    if 2 * node.d >= node.degE + node.degM:
+        return ()
+    pair = node.pair()
+    out = []
+    for n in range(1, node.d - ell + 1):
+        invariant(2 * n < node.delta, "witness outside the secant bound")
+        for D in pool_divisors(pool, n):
+            x = FlowLinePoint(_canonical_class(curve, pair, D, pool), D)
+            limit = downward_limit(curve, node, x)
+            for p, mult in D.items():
+                invariant(section_order(curve, limit, p) >= 2 * mult,
+                          "section lost its double zero at %r", p)
+            out.extend(((x, limit),) + rest
+                       for rest in _continuations(curve, limit, ell, pool))
+    return tuple(out)
 
 
 def enumerate_chains(curve: HyperellipticCurve, top: CriticalPointData,
@@ -347,7 +358,7 @@ def enumerate_chains(curve: HyperellipticCurve, top: CriticalPointData,
     """All broken flow lines from the top level down to level ell with
     witnesses drawn from the pool, phases set to zero.
 
-    Recursive composition of the budget u - ell into pool divisors, in
+    Compositions of the budget u - ell into pool divisors, in
     lexicographic order; each step carries the canonical class of its
     witness, the arrival criterion is enforced, and the divisibility of
     the section at each arrival is checked (it holds automatically for
@@ -364,22 +375,8 @@ def enumerate_chains(curve: HyperellipticCurve, top: CriticalPointData,
             f"need ell < u, got ell = {ell}, u = {u}")
     pool = checked_pool(curve, pool)
     _validate_critical_point(curve, top)
-    chains: list[ChainRecord] = []
-
-    def extend(current: CriticalPointData, remaining: int, steps: list):
-        if remaining == 0:
-            chains.append(ChainRecord(top, tuple(steps)))
-            return
-        if 2 * current.d >= params.degE + params.degM:
-            return  # no flow line may arrive from this level
-        for n in range(1, remaining + 1):
-            invariant(2 * n < current.delta, "witness outside the secant bound")
-            for D in pool_divisors(pool, n):
-                x, limit = _chain_step(curve, current, D, pool)
-                extend(limit, remaining - n, steps + [(x, limit)])
-
-    extend(top, u - ell, [])
-    return chains
+    return [ChainRecord(top, steps)
+            for steps in _continuations(curve, top, ell, pool)]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +430,7 @@ def commuting_check(curve: HyperellipticCurve, top: CriticalPointData,
     chains sharing a first step must equal the chain count from that
     step's downward limit, counting the empty continuation once.
     """
-    pool = checked_pool(curve, pool)
+    pool = tuple(pool)
     chains = enumerate_chains(curve, top, ell, pool)
     commute_failures = 0
     groups: dict = {}
@@ -445,14 +442,9 @@ def commuting_check(curve: HyperellipticCurve, top: CriticalPointData,
             commute_failures += 1
         groups.setdefault((first.cls, first.witness, first.phase),
                           []).append(c)
-    fibre_failures = 0
-    for (_, witness, _), group in groups.items():
-        inner = group[0].steps[0][1]
-        if inner.d == ell:
-            expected = 1
-        else:
-            expected = len(enumerate_chains(curve, inner, ell, pool))
-        if len(group) != expected:
-            fibre_failures += 1
+    fibre_failures = sum(
+        len(group) != len(_continuations(curve, group[0].steps[0][1], ell,
+                                         pool))
+        for group in groups.values())
     return CommutingReport(len(chains), len(groups),
                            commute_failures, fibre_failures)

@@ -331,7 +331,13 @@ def stratum_membership(curve: HyperellipticCurve, pair: BundlePair,
             f"maxN = {maxN} must stay below d1 - d2 = {pair.delta}")
     if maxN < 1:
         raise BoundViolationError("maxN must be >= 1")
-    pool = checked_pool(curve, pool)
+    return stratum_search(curve, pair, e, checked_pool(curve, pool), maxN)
+
+
+def stratum_search(curve: HyperellipticCurve, pair: BundlePair, e: DualClass,
+                   pool: tuple, maxN: int) -> StratumResult | None:
+    """``stratum_membership``'s search over a pool already passed through
+    ``checked_pool``, with 1 <= maxN < d1 - d2 (both preconditions)."""
     for N in range(1, maxN + 1):
         hits = [D for D in pool_divisors(pool, N)
                 if plane_membership(e, secant_plane(curve, pair, D))]

@@ -7,7 +7,7 @@ from secantflow import curve, make_curve, resolution, secant
 
 CACHES = (curve._y_series_cached, secant.twist_section_space,
           secant._jet_block, secant.secant_plane,
-          resolution._canonical_class, resolution._chain_step)
+          resolution._canonical_class, resolution._continuations)
 
 
 def test_every_cache_has_a_finite_bound():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from secantflow import (
     make_critical_point,
     make_curve,
     point_class,
+    pool_divisors,
     section_order,
     standard_curve,
     upward_targets,
@@ -42,6 +44,7 @@ from secantflow.errors import (
     WitnessNotMinimalError,
     ZeroSectionError,
 )
+from secantflow import cli, resolution, serialize
 from secantflow.resolution import with_phases
 
 
@@ -391,3 +394,86 @@ def test_fibres_count_continuations(curve, top, pool):
             assert len(group) == 1
         else:
             assert len(group) == len(enumerate_chains(curve, inner, 1, pool))
+
+
+# -- the chain DAG against a plain recursive walk -----------------------------
+
+def reference_walk(curve, top, ell, pool):
+    """Every chain's steps by plain recursion, with no memo of nodes: each
+    node is re-expanded on every path that reaches it."""
+    pool = tuple(pool)
+
+    def walk(node):
+        if node.d == ell:
+            yield ()
+            return
+        if 2 * node.d >= node.degE + node.degM:
+            return
+        for n in range(1, node.d - ell + 1):
+            for D in pool_divisors(pool, n):
+                cls = resolution._canonical_class(curve, node.pair(), D, pool)
+                x = FlowLinePoint(cls, D)
+                limit = downward_limit(curve, node, x)
+                for rest in walk(limit):
+                    yield ((x, limit),) + rest
+
+    return list(walk(top))
+
+
+@pytest.fixture(scope="module")
+def criterion_7_runs(curve, one, pool, top):
+    top_b = make_critical_point(curve, Divisor({INF: 4}), Divisor({INF: -3}),
+                                Divisor({INF: 8}), one)
+    return {"budget_1": (top, 2, pool, 6), "budget_2": (top, 1, pool, 57),
+            "budget_3": (top_b, 1, pool[:4], 164)}
+
+
+@pytest.mark.parametrize("run", ["budget_1", "budget_2", "budget_3"])
+def test_enumeration_matches_reference_walk(curve, criterion_7_runs, run):
+    top, ell, pool, expected = criterion_7_runs[run]
+    chains = enumerate_chains(curve, top, ell, pool)
+    reference = reference_walk(curve, top, ell, pool)
+    assert len(reference) == expected
+    # witnesses, classes, phases and limits, step by step, in order
+    assert [c.steps for c in chains] == reference
+
+
+@pytest.mark.parametrize("run", ["budget_1", "budget_3"])
+def test_one_shot_pool(curve, criterion_7_runs, run):
+    top, ell, pool, _ = criterion_7_runs[run]
+    assert (enumerate_chains(curve, top, ell, iter(pool))
+            == enumerate_chains(curve, top, ell, pool))
+    assert (commuting_check(curve, top, ell, iter(pool))
+            == commuting_check(curve, top, ell, pool))
+
+
+# -- the diagram check can fail ------------------------------------------------
+
+@pytest.fixture()
+def one_first_step(monkeypatch, curve, top, pool):
+    """P_morse broken: every chain is sent to the first chain's first step."""
+    first = P_morse(enumerate_chains(curve, top, 2, pool)[0])
+    monkeypatch.setattr(resolution, "P_morse", lambda chain: first)
+
+
+def test_commuting_check_reports_failures(curve, top, pool, one_first_step):
+    rep = commuting_check(curve, top, 2, pool)
+    assert not rep.ok
+    assert (rep.chains, rep.first_steps) == (6, 1)
+    assert rep.commute_failures == 5 and rep.fibre_failures >= 1
+
+
+def test_cli_exits_one_on_diagram_failure(tmp_path, capsys, curve, top, pool,
+                                          one_first_step):
+    paths = {}
+    for name, payload in [("curve", serialize.curve_to_json(curve)),
+                          ("top", serialize.critical_point_to_json(top)),
+                          ("pool", serialize.pool_to_json(pool))]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    code = cli.main(["chains", "--curve", str(paths["curve"]),
+                     "--top", str(paths["top"]), "--ell", "2",
+                     "--pool", str(paths["pool"]), "--check-diagram"])
+    assert code == 1
+    diagram = json.loads(capsys.readouterr().out)["diagram"]
+    assert diagram["ok"] is False and diagram["fibre_failures"] >= 1

@@ -310,10 +310,11 @@ class CurveFunction:
     """An element (a(x) + b(x) y) / q(x) of the function field.
 
     The representation is canonical: q is monic and gcd(a, b, q) = 1, so
-    equality of functions is equality of the triples.
+    equality of functions is equality of the triples.  The norm of the
+    numerator is computed on first use and kept.
     """
 
-    __slots__ = ("curve", "a", "b", "den")
+    __slots__ = ("curve", "a", "b", "den", "_norm")
 
     def __init__(self, curve: HyperellipticCurve, a: Poly, b: Poly,
                  den: Poly = Poly.one()):
@@ -330,6 +331,7 @@ class CurveFunction:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_norm", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CurveFunction is immutable")
@@ -362,7 +364,10 @@ class CurveFunction:
 
     def norm_numerator(self) -> Poly:
         """The polynomial a^2 - b^2 f  (norm of the numerator a + b y)."""
-        return self.a * self.a - self.b * self.b * self.curve.f
+        if self._norm is None:
+            object.__setattr__(self, "_norm",
+                               self.a * self.a - self.b * self.b * self.curve.f)
+        return self._norm
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -217,6 +217,8 @@ def fibre_dim_crosscheck(params: ModuliParams, curve: HyperellipticCurve | None 
     with randomized affine support; all must agree with the formula
     (degree < 0 makes h^1 depend on the degree alone).
     """
+    if samples < 0:
+        raise MorseBoundViolationError(f"samples = {samples} must be >= 0")
     if curve is None:
         curve = standard_curve(params.g)
     pool = _small_points(curve)

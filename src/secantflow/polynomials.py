@@ -1,15 +1,21 @@
 """Dense univariate polynomials over the rationals.
 
-Coefficients are ``fractions.Fraction`` throughout; nothing in here (or in
-any module built on top) touches floating point.  The representation is a
-trimmed tuple of coefficients in increasing degree order, so polynomials are
-immutable and hashable and can key caches.
+Coefficients are ``fractions.Fraction`` throughout the interface; nothing in
+here (or in any module built on top) touches floating point.  The
+representation is a trimmed tuple of coefficients in increasing degree
+order, so polynomials are immutable and hashable and can key caches.
+
+The hot kernels (the Taylor shift, root multiplicity and the product) run
+on cleared integer numerators: the coefficients times the lcm of their
+denominators.  They build a ``Fraction`` only for each coefficient they
+return, so the arithmetic stays exact without a gcd per operation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
@@ -121,12 +127,15 @@ class Poly:
             return Poly([a * c for a in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        xs, xden = self.integer_coeffs()
+        ys, yden = other.integer_coeffs()
+        out = [0] * (len(xs) + len(ys) - 1)
+        for i, a in enumerate(xs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(ys):
                     out[i + j] += a * b
-        return Poly(out)
+        den = xden * yden
+        return Poly([Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
 
@@ -190,26 +199,30 @@ class Poly:
     def derivative(self) -> Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def shift(self, x0: Scalar) -> Poly:
-        """The polynomial ``p(x0 + z)`` as a polynomial in z (Taylor shift)."""
+    def shift(self, x0: Scalar, n: int | None = None) -> Poly:
+        """The polynomial ``p(x0 + z)`` as a polynomial in z (Taylor shift),
+        truncated mod z^n when n is given; only n Horner passes run then."""
+        if not self.coeffs:
+            return self
         x0 = _frac(x0)
+        ints, den = self.integer_coeffs()
+        v = x0.denominator
+        deg = len(ints) - 1
+        scale = den * v ** deg
         out = []
-        acc = self
-        k = 0
-        fact = 1
-        while not acc.is_zero():
-            out.append(acc(x0) / fact)
-            acc = acc.derivative()
-            k += 1
-            fact *= k
+        vk = 1
+        for t in islice(_taylor_passes(ints, x0.numerator, v), n):
+            out.append(Fraction(t * vk, scale))
+            vk *= v
         return Poly(out)
 
     def root_multiplicity(self, x0: Scalar) -> int:
         """Multiplicity of x0 as a root (0 if not a root)."""
-        shifted = self.shift(x0)
-        for i, c in enumerate(shifted.coeffs):
-            if c:
-                return i
+        x0 = _frac(x0)
+        ints, _ = self.integer_coeffs()
+        for k, t in enumerate(_taylor_passes(ints, x0.numerator, x0.denominator)):
+            if t:
+                return k
         raise ZeroDivisionError("every point is a root of the zero polynomial")
 
     # -- gcd and squarefreeness ----------------------------------------------
@@ -231,15 +244,16 @@ class Poly:
             return False
         return self.gcd(self.derivative()).degree == 0
 
-    def integer_coeffs(self) -> list[int]:
-        """The coefficients times the lcm of their denominators."""
+    def integer_coeffs(self) -> tuple[list[int], int]:
+        """The coefficients times the lcm of their denominators, and that
+        lcm (1 for the zero polynomial)."""
         den = math.lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (den // c.denominator) for c in self.coeffs]
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
 
     @property
     def coeff_bits(self) -> int:
         """Largest bit length among the integer coefficients."""
-        return max((abs(c).bit_length() for c in self.integer_coeffs()),
+        return max((abs(c).bit_length() for c in self.integer_coeffs()[0]),
                    default=0)
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
@@ -265,7 +279,7 @@ class Poly:
         if shift0:
             roots.append((Fraction(0), shift0))
         if p.degree > 0:
-            ints = p.integer_coeffs()
+            ints, _ = p.integer_coeffs()
             a0, an = ints[0], ints[-1]
             seen = set()
             for pn in _divisors(abs(a0)):
@@ -293,6 +307,28 @@ class Poly:
             else:
                 parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "Poly(" + " + ".join(parts) + ")"
+
+
+def _taylor_passes(a: list[int], u: int, v: int) -> Iterator[int]:
+    """Integer Taylor shift of sum a[i] x^i at x0 = u/v, in place on a.
+
+    Each a[i] is first scaled by v^(deg - i); then pass k of the Horner
+    (synthetic division) scheme finishes t_k, which is yielded at once, and
+    sum a[i] (x0 + z)^i = sum_k t_k v^k z^k / v^deg.  A consumer that stops
+    reading after k terms runs only k passes.
+    """
+    deg = len(a) - 1
+    if v != 1:
+        vp = v
+        for i in range(deg - 1, -1, -1):
+            a[i] *= vp
+            vp *= v
+    for k in range(deg):
+        for j in range(deg - 1, k - 1, -1):
+            a[j] += u * a[j + 1]
+        yield a[k]
+    if deg >= 0:
+        yield a[deg]
 
 
 def _divisors(n: int) -> list[int]:

@@ -18,14 +18,10 @@ from .polynomials import Poly
 Series = list  # list[Fraction], truncated
 
 
-def of_poly(p: Poly, n: int) -> Series:
-    """First n coefficients of the polynomial itself."""
-    return [p[i] for i in range(n)]
-
-
 def shifted_poly(p: Poly, x0, n: int) -> Series:
     """First n coefficients of p(x0 + z)."""
-    return of_poly(p.shift(x0), n)
+    shifted = p.shift(x0, n)
+    return [shifted[i] for i in range(n)]
 
 
 def add(a: Series, b: Series) -> Series:
@@ -36,11 +32,6 @@ def add(a: Series, b: Series) -> Series:
     for i, c in enumerate(b):
         out[i] += c
     return out
-
-
-def scale(a: Series, c) -> Series:
-    c = Fraction(c)
-    return [x * c for x in a]
 
 
 def mul(a: Series, b: Series, n: int) -> Series:

@@ -291,6 +291,14 @@ def test_exit_two_on_oversized_pole_coefficients(files, tmp_path):
                                  "above 20 bits")
 
 
+def test_exit_two_on_negative_samples():
+    res = run_cli("verify-identities", "--g", "2", "--degE", "1",
+                  "--degM", "6", "--samples", "-1")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "input error [morse]: samples = -1 must be >= 0\n"
+
+
 def test_exit_two_on_unknown_subcommand():
     assert run_cli("not-a-command").returncode == 2
 

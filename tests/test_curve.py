@@ -309,6 +309,67 @@ def test_valuation_at_infinity(g2):
                                        Poly([0, 1])), INF) == 2
 
 
+def _sympy_valuation(curve, h, x0: Fraction, y0: Fraction) -> int:
+    """ord of h = (a + b y)/q at (x0, y0) from sympy alone: the first
+    nonzero term of a(x0+z) + b(x0+z) y0 sqrt(f(x0+z)/y0^2), less the
+    multiplicity of x0 as a root of q.  The norm a^2 - b^2 f bounds the
+    numerator's order, so the series is expanded one term past it."""
+    x, z = sympy.symbols("x z")
+    X0 = sympy.Rational(x0.numerator, x0.denominator)
+    Y0 = sympy.Rational(y0.numerator, y0.denominator)
+
+    def expr(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * x ** i
+                    for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+    def order(e):
+        q, m = sympy.Poly(e, x), 0
+        while q.eval(X0) == 0:
+            q, m = sympy.div(q, sympy.Poly(x - X0, x))[0], m + 1
+        return m
+
+    a, b, f = expr(h.a), expr(h.b), expr(curve.f)
+    n = order(sympy.expand(a ** 2 - b ** 2 * f)) + 1
+    a, b, f = (e.subs(x, X0 + z) for e in (a, b, f))
+    ser = sympy.expand(sympy.series(a + b * Y0 * sympy.sqrt(f / Y0 ** 2),
+                                    z, 0, n).removeO())
+    v_num = next(k for k in range(n) if ser.coeff(z, k) != 0)
+    return v_num - order(expr(h.den))
+
+
+# (f, x0, y0) on g2 and g3; (9/4, 269/32) exercises x0 = u/v with v > 1
+VALUATION_POINTS = [((4, 4, 0, 0, 0, 1), 0, 2), ((4, 4, 0, 0, 0, 1), 1, 3),
+                    ((4, 4, 0, 0, 0, 1), Fraction(9, 4), Fraction(269, 32)),
+                    ((1, 1, 0, 0, 0, 0, 0, 1), 0, 1)]
+small_polys = st.lists(st.fractions(-3, 3, max_denominator=4),
+                       max_size=3).map(Poly)
+
+
+@given(st.sampled_from(VALUATION_POINTS), small_polys, small_polys,
+       small_polys, st.integers(0, 2), st.integers(1, 3), st.integers(0, 2),
+       st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_valuation_matches_sympy_series(where, a0, b0, q0, i, m, j, k):
+    """Random (a + b y)/q with planted zeros (x - x0)^i (y - t)^j, t the
+    Taylor polynomial of y at p of degree m - 1, and a planted pole
+    (x - x0)^-k: valuation at p and at its conjugate against sympy."""
+    if (a0.is_zero() and b0.is_zero()) or q0.is_zero():
+        return
+    f, x0, y0 = where
+    curve = make_curve(f)
+    p = curve.point(x0, y0)
+    lin = Poly.linear_root(p.x)
+    t = Poly.zero()
+    for c in reversed(curve.y_series(p.x, p.y, m)):
+        t = t * lin + c
+    num = CurveFunction(curve, a0 * lin ** i, b0 * lin ** i)
+    for _ in range(j):
+        num = num * CurveFunction(curve, -t, Poly.one())
+    h = CurveFunction(curve, num.a, num.b, lin ** k * q0)
+    for pt in (p, p.conjugate()):
+        assert valuation(curve, h, pt) == _sympy_valuation(curve, h, pt.x, pt.y)
+
+
 def test_function_field_relation(g2):
     y = CurveFunction.y(g2)
     fx = CurveFunction(g2, g2.f, Poly.zero())

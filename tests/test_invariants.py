@@ -31,6 +31,12 @@ import secantflow.curve as c
 c.valuation = lambda curve, h, p: -100
 riemann_roch_space(standard_curve(2), Divisor({INF: 5}))
 """,
+    "criterion_1_integer_shift": """\
+Poly.root_multiplicity = lambda self, x0: 0
+curve = make_curve([1, -1, 0, 0, 0, 1])
+riemann_roch_space(curve, Divisor({INF: 3, curve.point(0, 1): 2,
+                                   curve.point(1, -1): -1}))
+""",
     "criterion_4_codim_two_ways": """\
 import secantflow.morse as m
 m.unstable_fibre_dim = lambda params, d: 0

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secantflow import series
 from secantflow.polynomials import Poly
 
 X = sympy.Symbol("x")
@@ -23,6 +24,16 @@ def to_sympy(p: Poly):
 small_fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=6)
 polys = st.lists(small_fracs, min_size=0, max_size=7).map(Poly)
+centers = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+# denominators up to 10^6 for the integer product's lcm bookkeeping
+wide_fracs = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                          max_denominator=10 ** 6)
+wide_polys = st.lists(wide_fracs, min_size=0, max_size=6).map(Poly)
+
+
+def sympy_coeffs(p) -> list[Fraction]:
+    """Coefficients of a sympy polynomial, low to high, as Fractions."""
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
 
 
 def test_trim_and_degree():
@@ -38,7 +49,7 @@ def test_eval_horner():
     assert p(0) == 1
 
 
-@given(polys, polys)
+@given(polys | wide_polys, polys | wide_polys)
 @settings(max_examples=150, deadline=None)
 def test_mul_matches_sympy(p, q):
     r = p * q
@@ -76,11 +87,47 @@ def test_shift_is_composition(p, x0):
     assert shifted(z) == p(x0 + z)
 
 
+@given(polys, centers)
+@settings(max_examples=150, deadline=None)
+def test_shift_matches_sympy(p, x0):
+    theirs = sympy_coeffs(to_sympy(p).shift(sympy.Rational(x0.numerator,
+                                                           x0.denominator)))
+    ours = list(p.shift(x0).coeffs)
+    assert ours == (theirs if any(theirs) else [])
+
+
+@given(polys, centers)
+@settings(max_examples=100, deadline=None)
+def test_truncated_shift(p, x0):
+    full = p.shift(x0)
+    deg = max(p.degree, 0)
+    for n in (0, 1, deg, deg + 1, deg + 3):
+        assert p.shift(x0, n) == Poly(full.coeffs[:n])
+        assert series.shifted_poly(p, x0, n) == [full[i] for i in range(n)]
+
+
+@given(st.lists(small_fracs.filter(bool), min_size=1, max_size=3),
+       centers, st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_root_multiplicity_planted(cofactor_roots, x0, m):
+    cofactor = Poly.one()
+    for r in cofactor_roots:
+        # roots x0 + r, never x0 itself
+        cofactor = cofactor * Poly.linear_root(x0 + r)
+    p = Poly.linear_root(x0) ** m * cofactor * Fraction(3, 7)
+    assert p.root_multiplicity(x0) == m
+    assert (p * p).root_multiplicity(x0) == 2 * m
+
+
 def test_root_multiplicity():
     p = Poly.linear_root(2) ** 3 * Poly([1, 1])
     assert p.root_multiplicity(2) == 3
     assert p.root_multiplicity(-1) == 1
     assert p.root_multiplicity(5) == 0
+    assert Poly([Fraction(1, 3)]).root_multiplicity(Fraction(1, 7)) == 0
+    for x0 in (0, 2, Fraction(-5, 7)):
+        with pytest.raises(ZeroDivisionError):
+            Poly.zero().root_multiplicity(x0)
 
 
 @pytest.mark.parametrize("coeffs, squarefree", [

@@ -14,21 +14,28 @@ out of such candidates by exact jet conditions at the support points and
 degree bounds at infinity, and the resulting basis is re-certified by
 valuation accounting before it is returned.
 
+Curves, points, divisors and functions are immutable values that key the
+package's caches; each computes its hash once and keeps it.
+
 Point admissibility (y^2 = f(x), and y != 0 on a support) is checked where
 data enters: ``HyperellipticCurve.point`` when a point is made,
 ``validate_support`` in every function taking a divisor, witness or pool
 (``serialize.divisor_from_json``, whose points come from
 ``HyperellipticCurve.point``, adds only ``check_off_weierstrass``),
 and the y0^2 = f(x0) guard of ``series.sqrt_series`` wherever y is
-expanded.  The per-point kernels (``y_series``, ``valuation``, ``jet``,
-``resolution.section_order``) take a point of the curve as a precondition
-and keep only their structural guards (infinity, y = 0).
+expanded.  ``validate_support`` stays the one checkpoint for supports; it
+remembers, per curve, the points it has passed (a bounded cache), so a
+point drawn again from a checked pool is not evaluated again, while a
+point that fails raises every time.  The per-point kernels (``y_series``,
+``valuation``, ``jet``, ``resolution.section_order``) take a point of the
+curve as a precondition and keep only their structural guards (infinity,
+y = 0).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -52,6 +59,34 @@ from .polynomials import Poly, Scalar, _frac
 # points and curves
 # ---------------------------------------------------------------------------
 
+def hash_once(cls):
+    """Class decorator for a frozen dataclass whose instances key caches.
+
+    The dataclass's field hash is computed on first use and kept in the
+    instance ``__dict__``, so its value is unchanged.  Copying and
+    pickling rebuild the value through its constructor: a kept hash (which
+    may mix in per-process string hashes) never crosses a process.
+    """
+    field_hash = cls.__hash__
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self):
+        kept = self.__dict__
+        try:
+            return kept["_hash"]
+        except KeyError:
+            h = kept["_hash"] = field_hash(self)
+            return h
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, name) for name in names)
+
+    cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True, order=False)
 class CurvePoint:
     """A closed point of the model: infinity, or an affine point (x0, y0)."""
@@ -88,6 +123,7 @@ class CurvePoint:
 INF = CurvePoint.infinity()
 
 
+@hash_once
 @dataclass(frozen=True)
 class HyperellipticCurve:
     """The curve y^2 = f(x), f squarefree of odd degree 2g+1 >= 5."""
@@ -191,10 +227,11 @@ class Divisor:
     """A finite formal Z-combination of curve points.
 
     Immutable; zero multiplicities are dropped and points are kept sorted,
-    so equal divisors compare and hash equal.
+    so equal divisors compare and hash equal.  A dict beside the sorted
+    items answers ``coeff`` in O(1), and the arithmetic works on it.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_coeffs", "_hash")
 
     def __init__(self, coeffs: Mapping[CurvePoint, int] | Iterable[tuple[CurvePoint, int]] = ()):
         if isinstance(coeffs, Mapping):
@@ -202,12 +239,29 @@ class Divisor:
         acc: dict[CurvePoint, int] = {}
         for p, m in coeffs:
             acc[p] = acc.get(p, 0) + int(m)
-        items = tuple(sorted(((p, m) for p, m in acc.items() if m != 0),
-                             key=lambda t: t[0].sort_key()))
-        object.__setattr__(self, "_items", items)
+        self._fill(acc)
+
+    @classmethod
+    def _of_dict(cls, acc: dict[CurvePoint, int]) -> Divisor:
+        """The divisor with integer multiplicities acc (zeros allowed),
+        built without accumulating again."""
+        D = object.__new__(cls)
+        D._fill(acc)
+        return D
+
+    def _fill(self, acc: dict[CurvePoint, int]) -> None:
+        coeffs = {p: m for p, m in acc.items() if m}
+        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_items", tuple(
+            sorted(coeffs.items(), key=lambda t: t[0].sort_key())))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the kept hash stays behind
+        return Divisor, (self._items,)
 
     @classmethod
     def zero(cls) -> Divisor:
@@ -221,10 +275,7 @@ class Divisor:
         return self._items
 
     def coeff(self, p: CurvePoint) -> int:
-        for q, m in self._items:
-            if q == p:
-                return m
-        return 0
+        return self._coeffs.get(p, 0)
 
     def support(self) -> tuple[CurvePoint, ...]:
         return tuple(p for p, _ in self._items)
@@ -238,36 +289,44 @@ class Divisor:
 
     @property
     def degree(self) -> int:
-        return sum(m for _, m in self._items)
+        return sum(self._coeffs.values())
 
     def is_effective(self) -> bool:
-        return all(m > 0 for _, m in self._items)
+        return all(m > 0 for m in self._coeffs.values())
 
     def is_zero(self) -> bool:
         return not self._items
 
     def __add__(self, other: Divisor) -> Divisor:
-        return Divisor(tuple(self._items) + tuple(other._items))
+        acc = dict(self._coeffs)
+        for p, m in other._items:
+            acc[p] = acc.get(p, 0) + m
+        return Divisor._of_dict(acc)
 
     def __neg__(self) -> Divisor:
-        return Divisor(tuple((p, -m) for p, m in self._items))
+        return Divisor._of_dict({p: -m for p, m in self._items})
 
     def __sub__(self, other: Divisor) -> Divisor:
-        return self + (-other)
+        acc = dict(self._coeffs)
+        for p, m in other._items:
+            acc[p] = acc.get(p, 0) - m
+        return Divisor._of_dict(acc)
 
     def __mul__(self, k: int) -> Divisor:
-        return Divisor(tuple((p, k * m) for p, m in self._items))
+        return Divisor._of_dict({p: int(k * m) for p, m in self._items})
 
     __rmul__ = __mul__
 
     def __le__(self, other: Divisor) -> bool:
-        pts = set(self.support()) | set(other.support())
-        return all(self.coeff(p) <= other.coeff(p) for p in pts)
+        mine, theirs = self._coeffs, other._coeffs
+        return (all(m <= theirs.get(p, 0) for p, m in self._items)
+                and all(m >= 0 for p, m in other._items if p not in mine))
 
     def gcd(self, other: Divisor) -> Divisor:
         """Pointwise minimum (largest divisor below both)."""
-        pts = set(self.support()) | set(other.support())
-        return Divisor({p: min(self.coeff(p), other.coeff(p)) for p in pts})
+        mine, theirs = self._coeffs, other._coeffs
+        return Divisor._of_dict({p: min(mine.get(p, 0), theirs.get(p, 0))
+                                 for p in mine.keys() | theirs.keys()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Divisor):
@@ -275,7 +334,9 @@ class Divisor:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("Divisor", self._items))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(("Divisor", self._items)))
+        return self._hash
 
     def __repr__(self) -> str:
         if not self._items:
@@ -288,11 +349,21 @@ class Divisor:
 
 
 def validate_support(curve: HyperellipticCurve, D: Divisor) -> None:
-    """Check every affine support point is on the curve with y != 0."""
+    """Check every affine support point is on the curve with y != 0.
+
+    A point that passes is remembered per curve, so f is evaluated once
+    per (curve, point); a point that fails raises every time.
+    """
     for p, _ in D.affine_items():
-        if not curve.is_on_curve(p.x, p.y):
-            raise UnsupportedSupportError(f"{p!r} is not on the curve")
-        check_off_weierstrass(p)
+        _check_point(curve, p)
+
+
+@lru_cache(maxsize=1024)
+def _check_point(curve: HyperellipticCurve, p: CurvePoint) -> None:
+    # lru_cache keeps no entry for a call that raises
+    if not curve.is_on_curve(p.x, p.y):
+        raise UnsupportedSupportError(f"{p!r} is not on the curve")
+    check_off_weierstrass(p)
 
 
 def check_off_weierstrass(p: CurvePoint) -> None:
@@ -314,15 +385,16 @@ class CurveFunction:
     numerator is computed on first use and kept.
     """
 
-    __slots__ = ("curve", "a", "b", "den", "_norm")
+    __slots__ = ("curve", "a", "b", "den", "_norm", "_hash")
 
     def __init__(self, curve: HyperellipticCurve, a: Poly, b: Poly,
                  den: Poly = Poly.one()):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = a.gcd(b).gcd(den)
-        if g.degree > 0:
-            a, b, den = a // g, b // g, den // g
+        if den.degree > 0:  # gcd with a nonzero constant is 1
+            g = a.gcd(b).gcd(den)
+            if g.degree > 0:
+                a, b, den = a // g, b // g, den // g
         lead = den.leading()
         if lead != 1:
             inv = Fraction(1) / lead
@@ -332,9 +404,14 @@ class CurveFunction:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_norm", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CurveFunction is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the kept hash stays behind
+        return CurveFunction, (self.curve, self.a, self.b, self.den)
 
     # -- constructors -------------------------------------------------------
 
@@ -412,7 +489,10 @@ class CurveFunction:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("CurveFunction", self.curve, self.a, self.b, self.den))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                ("CurveFunction", self.curve, self.a, self.b, self.den)))
+        return self._hash
 
     def __repr__(self) -> str:
         num = f"{self.a!r} + ({self.b!r})*y"

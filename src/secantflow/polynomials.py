@@ -3,7 +3,8 @@
 Coefficients are ``fractions.Fraction`` throughout the interface; nothing in
 here (or in any module built on top) touches floating point.  The
 representation is a trimmed tuple of coefficients in increasing degree
-order, so polynomials are immutable and hashable and can key caches.
+order, so polynomials are immutable and hashable and can key caches; each
+polynomial computes its hash once and keeps it.
 
 The hot kernels (the Taylor shift, root multiplicity and the product) run
 on cleared integer numerators: the coefficients times the lcm of their
@@ -41,16 +42,21 @@ class Poly:
     4
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the kept hash stays behind
+        return Poly, (self.coeffs,)
 
     # -- constructors -------------------------------------------------------
 
@@ -181,7 +187,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(("Poly", self.coeffs)))
+        return self._hash
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .curve import (INF, CurveFunction, CurvePoint, Divisor,
-                    HyperellipticCurve, valuation, validate_support)
+                    HyperellipticCurve, hash_once, valuation,
+                    validate_support)
 from .errors import (BudgetViolationError, DegenerateRankError,
                      MalformedInputError, ResolutionBoundViolationError,
                      UnsupportedSupportError, WitnessNotMinimalError,
@@ -69,6 +70,7 @@ def flow_line_point(curve: HyperellipticCurve, pair: BundlePair,
     return FlowLinePoint(cls, witness, phase)
 
 
+@hash_once
 @dataclass(frozen=True)
 class CriticalPointData:
     """A split critical point via divisor representatives.

@@ -30,6 +30,7 @@ from .curve import (
     HyperellipticCurve,
     INF,
     SectionSpace,
+    hash_once,
     jet,
     riemann_roch_space,
     validate_support,
@@ -45,6 +46,7 @@ from .errors import (
 )
 
 
+@hash_once
 @dataclass(frozen=True)
 class BundlePair:
     """Degrees and divisor representatives of (L1, L2) and the twist M."""
@@ -161,15 +163,15 @@ def _jet_block(curve: HyperellipticCurve, pair: BundlePair, point, order: int):
     Jets are taken in a local frame of the twist bundle: when the
     representative divisor L1 - L2 + K carries the point with
     coefficient c, the frame is (x - x0)^(-c) and the jet of a section
-    h is the Taylor window of h * (x - x0)^c.  For representatives
-    supported away from the point (c = 0) this is the plain function
-    jet.
+    h is the Taylor window of h * (x - x0)^c.  For c <= 0 that window is
+    read off h's own jet from order -c on; for representatives supported
+    away from the point (c = 0) it is the plain function jet of h.
     """
     space = twist_section_space(curve, pair)
     twist = pair.L1_rep - pair.L2_rep + curve.canonical_divisor()
     c = twist.coeff(point)
     try:
-        if c >= 0:
+        if c > 0:
             shift = CurveFunction(
                 curve, Poly.linear_root(point.x) ** c, Poly.zero())
             jets = [jet(curve, h * shift, point, order - 1).values
@@ -298,11 +300,17 @@ class StratumResult:
     unique: bool
 
 
-def pool_divisors(pool, N: int):
+def pool_divisors(pool, N: int) -> tuple[Divisor, ...]:
     """All effective degree-N divisors supported in the pool, in
-    lexicographic pool order (deterministic)."""
-    for combo in combinations_with_replacement(range(len(pool)), N):
-        yield Divisor([(pool[i], 1) for i in combo])
+    lexicographic pool order (deterministic).  Built once per (pool, N)
+    and then shared."""
+    return _pool_divisors(tuple(pool), N)
+
+
+@lru_cache(maxsize=256)
+def _pool_divisors(pool: tuple, N: int) -> tuple[Divisor, ...]:
+    return tuple(Divisor([(pool[i], 1) for i in combo])
+                 for combo in combinations_with_replacement(range(len(pool)), N))
 
 
 def checked_pool(curve: HyperellipticCurve, pool) -> tuple:

@@ -111,6 +111,57 @@ def test_divisor_gcd_lcm(g2):
     assert D1.gcd(D2) <= D1 and D1.gcd(D2) <= D2
 
 
+# infinity, two conjugate pairs and a lone point; Divisor does not validate
+ORACLE_POINTS = (INF, CurvePoint.affine(0, 2), CurvePoint.affine(0, -2),
+                 CurvePoint.affine(1, 3), CurvePoint.affine(1, -3),
+                 CurvePoint.affine(Fraction(-1, 2), Fraction(3, 4)))
+divisor_terms = st.lists(st.tuples(st.sampled_from(ORACLE_POINTS),
+                                   st.integers(-3, 3)), max_size=8)
+
+
+def _reference(terms) -> dict:
+    out: dict = {}
+    for p, m in terms:
+        out[p] = out.get(p, 0) + m
+    return {p: m for p, m in out.items() if m}
+
+
+def _agrees(D: Divisor, ref: dict) -> None:
+    assert D.items() == tuple(sorted(ref.items(),
+                                     key=lambda t: t[0].sort_key()))
+    assert [D.coeff(p) for p in ORACLE_POINTS] == [
+        ref.get(p, 0) for p in ORACLE_POINTS]
+    assert D.degree == sum(ref.values())
+    assert D.is_zero() == (not ref)
+    assert D.is_effective() == all(m > 0 for m in ref.values())
+
+
+@given(divisor_terms, divisor_terms, st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_divisor_matches_dict_reference(a, b, k):
+    D, E = Divisor(a), Divisor(b)
+    ref_d, ref_e = _reference(a), _reference(b)
+    both = ref_d.keys() | ref_e.keys()
+    _agrees(D, ref_d)
+    _agrees(E, ref_e)
+    _agrees(D + E, _reference([*ref_d.items(), *ref_e.items()]))
+    _agrees(D - E, _reference([*ref_d.items(),
+                               *((p, -m) for p, m in ref_e.items())]))
+    _agrees(-D, {p: -m for p, m in ref_d.items()})
+    _agrees(k * D, _reference((p, k * m) for p, m in ref_d.items()))
+    _agrees(D * k, _reference((p, k * m) for p, m in ref_d.items()))
+    _agrees(D.gcd(E), _reference(
+        (p, min(ref_d.get(p, 0), ref_e.get(p, 0))) for p in both))
+    assert (D <= E) == all(ref_d.get(p, 0) <= ref_e.get(p, 0) for p in both)
+    assert (D == E) == (ref_d == ref_e)
+    # the same divisor reached along other paths hashes the same
+    for other in (Divisor(ref_d), Divisor(reversed(a)), (D + E) - E,
+                  (D - E) + E, -(-D), D + Divisor.zero(), D.gcd(D),
+                  (2 * D) - D):
+        assert other == D and hash(other) == hash(D)
+    assert hash(D + E) == hash(E + D)
+
+
 # -- Riemann-Roch spaces ----------------------------------------------------
 
 def test_rr_zero_divisor(g2):

@@ -1,0 +1,99 @@
+"""Immutable values: a hash computed once keeps its value, and copying or
+pickling rebuilds the value through its constructor.
+
+A kept hash must never cross a process: string hashes are seeded per
+process, and in CPython 3.11 so is hash(None), which every point at
+infinity mixes in.
+"""
+
+from __future__ import annotations
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import secantflow
+
+# Builds one value of each kind; run here and again in a child process.
+VALUES_SRC = """\
+from secantflow import (INF, BundlePair, CurveFunction, Divisor, Poly,
+                        make_critical_point, make_curve)
+
+def build_values():
+    curve = make_curve([1, -1, 0, 0, 0, 1])     # y^2 = x^5 - x + 1
+    p, q = curve.point(0, 1), curve.point(1, -1)
+    D = Divisor({INF: 3, p: 2, q: -1})
+    pair = BundlePair(5, 0, 5, Divisor({INF: 3, p: 2}), Divisor.zero(),
+                      Divisor({INF: 5}))
+    phi = CurveFunction(curve, Poly([1, 2]), Poly([3]), Poly([-1, 1]))
+    top = make_critical_point(curve, Divisor({INF: 4}), Divisor({INF: -3}),
+                              Divisor({INF: 8}),
+                              CurveFunction(curve, Poly([1]), Poly.zero()))
+    return {"Poly": curve.f, "CurvePoint": p, "infinity": INF,
+            "HyperellipticCurve": curve, "Divisor": D,
+            "BundlePair": pair, "CurveFunction": phi,
+            "CriticalPointData": top}
+"""
+_ns: dict = {}
+exec(VALUES_SRC, _ns)
+build_values = _ns["build_values"]
+VALUES = build_values()
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_deepcopy_and_pickle_round_trip(kind):
+    value = VALUES[kind]
+    hash(value)  # the original keeps its hash before it is copied
+    for other in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert other == value
+        assert hash(other) == hash(value)
+        assert other in {value} and value in {other}
+
+
+def test_hash_values_are_the_field_hashes():
+    v = VALUES
+    p, curve, D = v["CurvePoint"], v["HyperellipticCurve"], v["Divisor"]
+    phi, pair = v["CurveFunction"], v["BundlePair"]
+    assert hash(v["Poly"]) == hash(("Poly", v["Poly"].coeffs))
+    assert hash(p) == hash((p.at_infinity, p.x, p.y))
+    assert hash(v["infinity"]) == hash((True, None, None))
+    assert hash(curve) == hash((curve.f, curve.genus))
+    assert hash(D) == hash(("Divisor", D.items()))
+    assert hash(phi) == hash(("CurveFunction", phi.curve, phi.a, phi.b,
+                              phi.den))
+    assert hash(pair) == hash((pair.d1, pair.d2, pair.m, pair.L1_rep,
+                               pair.L2_rep, pair.M_rep))
+    top = v["CriticalPointData"]
+    assert hash(top) == hash((top.L1_rep, top.L2_rep, top.M_rep, top.phi,
+                              top.d))
+
+
+CHILD = VALUES_SRC + """
+import pickle, sys
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = build_values()
+bad = [k for k in fresh
+       if loaded[k] not in set(fresh.values()) or fresh[k] not in {loaded[k]}]
+print(",".join(bad))
+"""
+
+
+def test_unpickled_values_hash_fresh_in_another_process():
+    for value in VALUES.values():
+        hash(value)
+    seed = "4242" if os.environ.get("PYTHONHASHSEED") != "4242" else "4243"
+    src = str(Path(secantflow.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    res = subprocess.run([sys.executable, "-c", CHILD],
+                         input=pickle.dumps(VALUES), capture_output=True,
+                         env=env, timeout=60)
+    assert res.returncode == 0, res.stderr.decode()
+    assert res.stdout.decode().strip() == ""

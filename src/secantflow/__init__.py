@@ -57,7 +57,6 @@ from .resolution import (  # noqa: F401
     G_map,
     P_morse,
     P_sec,
-    SecantPoint,
     commuting_check,
     downward_limit,
     enumerate_chains,

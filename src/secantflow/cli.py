@@ -206,8 +206,8 @@ def cmd_chains(args) -> int:
         if not rep.ok:
             code = 1
     table = []
-    for ci, c in enumerate(chains):
-        for si, step in enumerate(ser.chain_to_json(c)["steps"]):
+    for ci, c in enumerate(payload["chains"]):
+        for si, step in enumerate(c["steps"]):
             table.append({"chain": ci, "step": si,
                           "witness": _cell(step["witness"]),
                           "class": _cell(step["class"]),

@@ -8,10 +8,13 @@ witness of that class; the downward limit twists the two summands by the
 witness and the section reappears with a double zero along it.
 
 Chains of such steps are the strata of the iterated-blowup picture: the
-paths of a DAG of critical points, each node expanded once.
-``commuting_check`` verifies on every enumerated chain that projecting to
-the first secant point commutes with erasing the circle phases, together
-with the exact fibre-counting law of the first-step projection.
+paths of one DAG of critical points per query, each node expanded once and
+holding its edges and the number of chains below it.  ``commuting_check``
+verifies that projecting to the first secant point commutes with erasing
+the circle phases, together with the exact fibre-counting law of the
+first-step projection.  It checks the top's first-step edges, each
+weighted by its chain count, which assumes ``P_morse`` and ``P_sec`` read
+only a chain's first step.
 """
 
 from __future__ import annotations
@@ -46,7 +49,14 @@ class FlowLinePoint:
         if self.witness.degree < 1:
             raise MalformedInputError("witness must have degree >= 1",
                                       field="witness")
-        if self.phase is not None and not (0 <= self.phase < 1):
+        if self.phase is None:
+            return
+        if (isinstance(self.phase, bool)
+                or not isinstance(self.phase, (int, Fraction))):
+            raise MalformedInputError(
+                f"phase must be an int or a Fraction, got {self.phase!r}",
+                field="phase")
+        if not (0 <= self.phase < 1):
             raise MalformedInputError("phase must lie in [0, 1)",
                                       field="phase")
 
@@ -214,7 +224,7 @@ def downward_limit(curve: HyperellipticCurve, top: CriticalPointData,
 
 
 def upward_targets(curve: HyperellipticCurve, bottom: CriticalPointData,
-                   params: ModuliParams | None, pool):
+                   pool):
     """All pool witnesses of flow lines arriving at bottom from above.
 
     A divisor qualifies when twice it is dominated by the section's
@@ -222,12 +232,7 @@ def upward_targets(curve: HyperellipticCurve, bottom: CriticalPointData,
     below (degE + degM)/2.  Returns (D, source level) pairs in
     (degree, pool) lexicographic order.
     """
-    if params is None:
-        params = bottom.params(curve)
-    if params.degE != bottom.degE or params.degM != bottom.degM:
-        raise MalformedInputError(
-            "params disagree with the critical point's degrees",
-            field="params")
+    params = bottom.params(curve)
     ell = bottom.d
     if not params.in_range(ell):
         raise ResolutionBoundViolationError(
@@ -261,11 +266,7 @@ class ChainRecord:
                                       field="steps")
         prev = self.top
         for x, data in self.steps:
-            D = x.witness
-            if data.d >= prev.d:
-                raise MalformedInputError(
-                    f"levels must strictly decrease, got {prev.d} -> {data.d}",
-                    field="steps")
+            D = x.witness  # deg D >= 1, so the levels strictly decrease
             if (data.L1_rep != prev.L1_rep - D or
                     data.L2_rep != prev.L2_rep + D or
                     data.M_rep != prev.M_rep or
@@ -326,46 +327,42 @@ def _canonical_class(curve: HyperellipticCurve, pair: BundlePair,
 
 
 @lru_cache(maxsize=256)
-def _continuations(curve: HyperellipticCurve, node: CriticalPointData,
-                   ell: int, pool: tuple) -> tuple:
-    """Every step sequence from node down to level ell, in lexicographic
-    order: ((),) at ell itself, () when no flow line may arrive at node's
-    level.  Each step is a flow-line point with its witness's canonical
-    class and its downward limit, whose section is checked to vanish to
-    order >= 2 * mult at each witness point (automatic for limits of
-    downward flows).  Expanded once per (curve, node, ell, pool); every
-    path and fibre count through the node shares the result.
+def _continuations(curve: HyperellipticCurve, top: CriticalPointData,
+                   ell: int, pool: tuple) -> dict:
+    """The chain DAG from top down to level ell: node -> (steps, count).
+
+    A node's steps are its (flow-line point, limit) edges in lexicographic
+    order, with canonical classes; its count is the number of step
+    sequences from it down to ell (1 at ell, 0 where no flow line may
+    arrive).  Each node is expanded once; the DAG is one cache entry.
     """
-    if node.d == ell:
-        return ((),)
-    if 2 * node.d >= node.degE + node.degM:
-        return ()
-    pair = node.pair()
-    out = []
-    for n in range(1, node.d - ell + 1):
-        invariant(2 * n < node.delta, "witness outside the secant bound")
-        for D in pool_divisors(pool, n):
-            x = FlowLinePoint(_canonical_class(curve, pair, D, pool), D)
-            limit = downward_limit(curve, node, x)
-            for p, mult in D.items():
-                invariant(section_order(curve, limit, p) >= 2 * mult,
-                          "section lost its double zero at %r", p)
-            out.extend(((x, limit),) + rest
-                       for rest in _continuations(curve, limit, ell, pool))
-    return tuple(out)
+    dag: dict = {}
+
+    def expand(node: CriticalPointData) -> int:
+        if node in dag:
+            return dag[node][1]
+        steps = []
+        count = 1 if node.d == ell else 0
+        if node.d > ell and 2 * node.d < node.degE + node.degM:
+            pair = node.pair()
+            for n in range(1, node.d - ell + 1):
+                invariant(2 * n < node.delta, "witness outside the secant bound")
+                for D in pool_divisors(pool, n):
+                    x = FlowLinePoint(_canonical_class(curve, pair, D, pool), D)
+                    limit = downward_limit(curve, node, x)
+                    steps.append((x, limit))
+                    count += expand(limit)
+        dag[node] = (tuple(steps), count)
+        return count
+
+    expand(top)
+    return dag
 
 
-def enumerate_chains(curve: HyperellipticCurve, top: CriticalPointData,
-                     ell: int, pool) -> list[ChainRecord]:
-    """All broken flow lines from the top level down to level ell with
-    witnesses drawn from the pool, phases set to zero.
-
-    Compositions of the budget u - ell into pool divisors, in
-    lexicographic order; each step carries the canonical class of its
-    witness, the arrival criterion is enforced, and the divisibility of
-    the section at each arrival is checked (it holds automatically for
-    limits of downward flows).
-    """
+def _chain_dag(curve: HyperellipticCurve, top: CriticalPointData, ell: int,
+               pool) -> dict:
+    """The checked query's chain DAG: u and ell in the level range with
+    ell < u, an admissible pool and a valid top critical point."""
     params = top.params(curve)
     u = top.d
     for name, level in (("u", u), ("ell", ell)):
@@ -377,8 +374,29 @@ def enumerate_chains(curve: HyperellipticCurve, top: CriticalPointData,
             f"need ell < u, got ell = {ell}, u = {u}")
     pool = checked_pool(curve, pool)
     _validate_critical_point(curve, top)
-    return [ChainRecord(top, steps)
-            for steps in _continuations(curve, top, ell, pool)]
+    return _continuations(curve, top, ell, pool)
+
+
+def enumerate_chains(curve: HyperellipticCurve, top: CriticalPointData,
+                     ell: int, pool) -> list[ChainRecord]:
+    """All broken flow lines from the top level down to level ell with
+    witnesses drawn from the pool, phases set to zero.
+
+    Compositions of the budget u - ell into pool divisors, in
+    lexicographic order: the paths of the chain DAG.  Each step carries
+    the canonical class of its witness, and its limit gains a double zero
+    of the section along the witness (checked by ``downward_limit``).
+    """
+    dag = _chain_dag(curve, top, ell, pool)
+
+    def paths(node: CriticalPointData):
+        if node.d == ell:
+            yield ()
+        for step in dag[node][0]:
+            for rest in paths(step[1]):
+                yield (step,) + rest
+
+    return [ChainRecord(top, steps) for steps in paths(top)]
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +415,10 @@ def P_morse(chain: ChainRecord) -> FlowLinePoint:
     return chain.steps[0][0]
 
 
-@dataclass(frozen=True)
-class SecantPoint:
-    """A phase-free secant datum: dual class plus witness."""
-
-    cls: DualClass
-    witness: Divisor
-
-
-def P_sec(chain: ChainRecord) -> SecantPoint:
-    """Projection to the first step's secant point, phase forgotten."""
-    x = chain.steps[0][0]
-    return SecantPoint(x.cls, x.witness)
+def P_sec(chain: ChainRecord) -> FlowLinePoint:
+    """Projection to the first step's secant point: its class and witness,
+    phase erased."""
+    return chain.steps[0][0].erased()
 
 
 @dataclass(frozen=True)
@@ -425,28 +435,26 @@ class CommutingReport:
 
 def commuting_check(curve: HyperellipticCurve, top: CriticalPointData,
                     ell: int, pool) -> CommutingReport:
-    """Exhaustive diagram check over the enumerated chains.
+    """Exhaustive diagram check, run on the top's first-step edges.
 
-    For each chain, projecting after phase erasure must agree with
-    erasing the phase of the first-step projection; and the number of
-    chains sharing a first step must equal the chain count from that
-    step's downward limit, counting the empty continuation once.
+    ``P_morse`` and ``P_sec`` read only the first step, so each edge is
+    checked once on its one-step chain and weighted by its chain count.
+    Projecting after phase erasure must agree with erasing the phase of
+    the first-step projection; and the chains sharing a first-step
+    projection must number the chains below that step's downward limit.
     """
-    pool = tuple(pool)
-    chains = enumerate_chains(curve, top, ell, pool)
+    dag = _chain_dag(curve, top, ell, pool)
     commute_failures = 0
     groups: dict = {}
-    for c in chains:
-        lhs = P_sec(G_map(c))
-        first = P_morse(c)
-        rhs = SecantPoint(first.erased().cls, first.erased().witness)
-        if lhs != rhs:
-            commute_failures += 1
-        groups.setdefault((first.cls, first.witness, first.phase),
-                          []).append(c)
-    fibre_failures = sum(
-        len(group) != len(_continuations(curve, group[0].steps[0][1], ell,
-                                         pool))
-        for group in groups.values())
-    return CommutingReport(len(chains), len(groups),
+    for step in dag[top][0]:
+        count = dag[step[1]][1]
+        chain = ChainRecord(top, (step,))
+        first = P_morse(chain)
+        if P_sec(G_map(chain)) != first.erased():
+            commute_failures += count
+        key = (first.cls, first.witness, first.phase)
+        groups.setdefault(key, [step[1], 0])[1] += count
+    fibre_failures = sum(total != dag[limit][1]
+                         for limit, total in groups.values())
+    return CommutingReport(dag[top][1], len(groups),
                            commute_failures, fibre_failures)

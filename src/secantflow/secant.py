@@ -42,6 +42,7 @@ from .errors import (
     DegenerateRankError,
     DimensionMismatchError,
     InadmissibleSupportError,
+    MalformedInputError,
     PoleAtPointError,
 )
 
@@ -93,6 +94,11 @@ class DualClass:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if any(isinstance(c, bool) or not isinstance(c, (int, Fraction))
+               for c in self.coords):
+            raise MalformedInputError(
+                f"coords must be ints or Fractions, got {self.coords!r}",
+                field="coords")
         if not any(self.coords):
             raise DimensionMismatchError("dual class must be nonzero")
 

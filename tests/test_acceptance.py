@@ -234,7 +234,7 @@ def test_criterion_6_downward_upward_consistency():
             for p, mult in D.items():
                 assert (section_order(curve, limit, p)
                         == before[p] + 2 * mult), (top, D, p)
-            assert (D, u) in upward_targets(curve, limit, None, pool), (
+            assert (D, u) in upward_targets(curve, limit, pool), (
                 top, D)
             done += 1
         assert done >= 50

@@ -56,7 +56,7 @@ ENTRY_POINTS = {
     "make_critical_point": lambda b: make_critical_point(
         CURVE, Divisor({INF: 3}), Divisor({INF: -3, b: 1}),
         Divisor({INF: 6}), ONE),
-    "upward_targets": lambda b: upward_targets(CURVE, top(), None, [GOOD, b]),
+    "upward_targets": lambda b: upward_targets(CURVE, top(), [GOOD, b]),
     "enumerate_chains": lambda b: enumerate_chains(CURVE, top(), 2,
                                                    [GOOD, b]),
     "commuting_check": lambda b: commuting_check(CURVE, top(), 2, [GOOD, b]),

@@ -20,7 +20,6 @@ from secantflow import (
     P_morse,
     P_sec,
     Poly,
-    SecantPoint,
     commuting_check,
     downward_limit,
     embedding_matrix,
@@ -239,7 +238,7 @@ def test_upward_targets_relists_the_used_witness(curve, top, pool):
     x = flow_line_point(curve, pair, point_class(curve, pair, p),
                         Divisor.of_point(p), pool)
     bottom = downward_limit(curve, top, x)
-    ups = upward_targets(curve, bottom, None, pool)
+    ups = upward_targets(curve, bottom, pool)
     assert ups == [(Divisor.of_point(p), 3)]
 
 
@@ -250,15 +249,9 @@ def test_upward_targets_respect_section_divisibility(curve, one, pool):
     bottom = make_critical_point(
         curve, Divisor({INF: 3}) - Divisor.of_point(p, 2),
         Divisor({INF: -2}) + Divisor.of_point(p, 2), Divisor({INF: 6}), one)
-    ups = upward_targets(curve, bottom, None, pool)
+    ups = upward_targets(curve, bottom, pool)
     assert ups == [(Divisor.of_point(p), 2),
                    (Divisor.of_point(p, 2), 3)]
-
-
-def test_upward_targets_param_consistency(curve, top, pool):
-    from secantflow import ModuliParams
-    with pytest.raises(MalformedInputError):
-        upward_targets(curve, top, ModuliParams(2, 1, 4), pool)
 
 
 def test_upward_targets_level_window(curve, one, pool):
@@ -266,7 +259,7 @@ def test_upward_targets_level_window(curve, one, pool):
     top_level = make_critical_point(curve, Divisor({INF: 3}),
                                     Divisor({INF: -2}), Divisor({INF: 6}),
                                     one)
-    assert upward_targets(curve, top_level, None, pool) == []
+    assert upward_targets(curve, top_level, pool) == []
 
 
 # -- chain records -----------------------------------------------------------
@@ -305,6 +298,18 @@ def test_with_phases(curve, top, pool):
     assert all(x.phase == Fraction(1, 3) for x, _ in phased.steps)
     with pytest.raises(MalformedInputError):
         with_phases(chain, [Fraction(0)] * (n + 1))
+
+
+@pytest.mark.parametrize("phase", [0.1, 0.0, True, False, "1/3", 1j])
+def test_phase_must_be_exact(curve, top, pool, phase):
+    chain = enumerate_chains(curve, top, 2, pool)[0]
+    with pytest.raises(MalformedInputError) as err:
+        with_phases(chain, [phase])
+    assert err.value.field == "phase"
+    x = chain.steps[0][0]
+    with pytest.raises(MalformedInputError):
+        FlowLinePoint(x.cls, x.witness, phase)
+    assert with_phases(chain, [0]).steps[0][0].phase == 0
 
 
 # -- enumeration -------------------------------------------------------------
@@ -370,7 +375,7 @@ def test_projection_maps(curve, top, pool):
     first = P_morse(chain)
     assert first.phase == Fraction(0)
     sec = P_sec(chain)
-    assert sec == SecantPoint(first.cls, first.witness)
+    assert sec == first.erased()
 
 
 def test_commuting_square_budget_two(curve, top, pool):
@@ -436,6 +441,55 @@ def test_enumeration_matches_reference_walk(curve, criterion_7_runs, run):
     assert len(reference) == expected
     # witnesses, classes, phases and limits, step by step, in order
     assert [c.steps for c in chains] == reference
+
+
+def chain_dag(curve, top, ell, pool):
+    enumerate_chains(curve, top, ell, pool)
+    return resolution._continuations(curve, top, ell, tuple(pool))
+
+
+@pytest.mark.parametrize("run", ["budget_1", "budget_2", "budget_3"])
+def test_dag_counts_match_reference_walk(curve, criterion_7_runs, run):
+    top, ell, pool, expected = criterion_7_runs[run]
+    dag = chain_dag(curve, top, ell, pool)
+    assert dag[top][1] == expected
+    for node, (_, count) in dag.items():
+        assert count == len(reference_walk(curve, node, ell, pool)), node
+
+
+@pytest.mark.parametrize("run", ["budget_1", "budget_2", "budget_3"])
+def test_cold_dag_build_takes_one_limit_per_edge(monkeypatch, curve,
+                                                 criterion_7_runs, run):
+    top, ell, pool, _ = criterion_7_runs[run]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return downward_limit(*args)
+
+    resolution._continuations.cache_clear()
+    monkeypatch.setattr(resolution, "downward_limit", counted)
+    dag = chain_dag(curve, top, ell, pool)
+    assert len(calls) == sum(len(steps) for steps, _ in dag.values())
+
+
+@pytest.mark.parametrize("run", ["budget_1", "budget_2", "budget_3"])
+def test_warm_diagram_check_builds_first_steps_only(monkeypatch, curve,
+                                                    criterion_7_runs, run):
+    top, ell, pool, expected = criterion_7_runs[run]
+    chain_dag(curve, top, ell, pool)
+    built = []
+    check = ChainRecord.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ChainRecord, "__post_init__", counted)
+    rep = commuting_check(curve, top, ell, pool)
+    assert rep.chains == expected and rep.ok
+    assert all(len(c.steps) == 1 for c in built)
+    assert len(built) <= 2 * rep.first_steps
 
 
 @pytest.mark.parametrize("run", ["budget_1", "budget_3"])

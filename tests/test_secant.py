@@ -31,6 +31,7 @@ from secantflow.errors import (
     BoundViolationError,
     DimensionMismatchError,
     InadmissibleSupportError,
+    MalformedInputError,
 )
 
 
@@ -138,6 +139,17 @@ def test_membership_dimension_check(g2, pair, pts):
     plane = secant_plane(g2, pair, Divisor.of_point(pts["p"]))
     with pytest.raises(DimensionMismatchError):
         plane_membership(DualClass((Fraction(1), Fraction(2))), plane)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1", None])
+def test_dual_class_coords_must_be_exact(g2, pair, pts, bad):
+    plane = secant_plane(g2, pair, Divisor.of_point(pts["p"]))
+    rest = (Fraction(0),) * (plane.n_rows - 1)
+    with pytest.raises(MalformedInputError) as err:
+        plane_membership(DualClass((bad,) + rest), plane)
+    assert err.value.field == "coords"
+    # ints and Fractions are exact and accepted
+    assert plane_membership(DualClass((1,) + rest), plane) in (True, False)
 
 
 # -- point classes and membership -------------------------------------------

@@ -11,8 +11,13 @@ f is squarefree the ring Q[x][y]/(y^2 - f) is integrally closed, so every
 function regular outside infinity and a prescribed set of affine fibres has
 this shape with q supported on those fibres; Riemann-Roch spaces are cut
 out of such candidates by exact jet conditions at the support points and
-degree bounds at infinity, and the resulting basis is re-certified by
-valuation accounting before it is returned.
+degree bounds at infinity, and the resulting basis is re-certified before
+it is returned.  The certificate checks the bound div(h) + D >= 0 itself,
+not the exact valuation: at infinity by the degree formula above, and at
+an affine place p by an order threshold, namely that a + b y vanishes to
+order v_p(q) - D(p), read off the first terms of its expansion (the norm
+a^2 - b^2 f is never formed); v_p(q) is cross-checked against q's
+truncated Taylor shift.
 
 Curves, points, divisors and functions are immutable values that key the
 package's caches; each computes its hash once and keeps it.
@@ -392,9 +397,13 @@ class CurveFunction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if den.degree > 0:  # gcd with a nonzero constant is 1
-            g = a.gcd(b).gcd(den)
+            # gcd(den, a, b), with b consulted only when den and a share
+            # a factor; a basis over its minimal denominator mostly does not
+            g = den.gcd(a)
             if g.degree > 0:
-                a, b, den = a // g, b // g, den // g
+                g = g.gcd(b)
+                if g.degree > 0:
+                    a, b, den = a // g, b // g, den // g
         lead = den.leading()
         if lead != 1:
             inv = Fraction(1) / lead
@@ -619,8 +628,11 @@ def riemann_roch_space(curve: HyperellipticCurve, D: Divisor) -> SectionSpace:
     come from v(x) = -2, v(y) = -(2g+1), and the affine conditions are jet
     conditions on a + b y at each support point and its conjugate.  The
     kernel of that exact linear system is the basis.  Each returned basis
-    element is re-certified by valuation accounting at every place where it
-    could have a pole.
+    element is re-certified at every place where it could have a pole, by
+    the bound itself (see ``_certify_section_space``): the valuation at
+    infinity, and at an affine place p that a + b y vanishes to order
+    v_p(den) - D(p).  A basis element that breaks the bound raises
+    InvariantError, under ``python -O`` too.
 
     Parameters
     ----------
@@ -694,7 +706,8 @@ def _certify_section_space(curve: HyperellipticCurve, space: SectionSpace) -> No
 
     A candidate (a + b y)/q has poles only over the roots of q and at
     infinity, so checking the support of D, the conjugates of its affine
-    support, and infinity is a complete certificate.
+    support, and infinity is a complete certificate.  Each place checks the
+    bound itself (``_within_bound``), not the exact valuation.
     """
     D = space.divisor
     places = {INF}
@@ -704,9 +717,40 @@ def _certify_section_space(curve: HyperellipticCurve, space: SectionSpace) -> No
     for h in space.basis:
         invariant(not h.is_zero(), "zero function in a Riemann-Roch basis")
         for p in places:
-            invariant(valuation(curve, h, p) + D.coeff(p) >= 0,
+            invariant(_within_bound(curve, h, p, D.coeff(p)),
                       "basis element %r violates the divisor bound at %r",
                       h, p)
+
+
+def _within_bound(curve: HyperellipticCurve, h: CurveFunction,
+                  p: CurvePoint, m: int) -> bool:
+    """Whether v_p(h) + m >= 0, for a nonzero h and a place p of the curve.
+
+    At infinity this is ``valuation``.  At an affine point it is an order
+    threshold: the numerator a + b y is regular there, so the bound holds
+    exactly when a + b y vanishes to order k = v_p(den) - m, i.e. when
+    k <= 0 or the first k terms of its expansion are 0.  The norm
+    a^2 - b^2 f, which the exact valuation needs, is never formed.
+    """
+    if p.at_infinity:
+        return valuation(curve, h, p) + m >= 0
+    k = _root_order(h.den, p.x) - m
+    return k <= 0 or not any(h.numerator_series(p.x, p.y, k))
+
+
+@lru_cache(maxsize=1024)
+def _root_order(den: Poly, x0: Fraction) -> int:
+    """den's root multiplicity at x0, checked against den's Taylor shift
+    truncated just past it: the coefficients below it are zero and the one
+    at it is not.  Kept per (den, x0), since the basis elements of a space
+    share their denominator and a point shares its fibre with its
+    conjugate; a check that fails is not kept and fails every time."""
+    v = den.root_multiplicity(x0)
+    taylor = den.shift(x0, v + 1)
+    invariant(taylor.degree == v and not any(taylor.coeffs[:v]),
+              "root multiplicity %d of %r at x = %s disagrees with its "
+              "Taylor shift", v, den, x0)
+    return v
 
 
 def h0_dim(curve: HyperellipticCurve, D: Divisor) -> int:

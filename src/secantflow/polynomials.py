@@ -6,10 +6,11 @@ representation is a trimmed tuple of coefficients in increasing degree
 order, so polynomials are immutable and hashable and can key caches; each
 polynomial computes its hash once and keeps it.
 
-The hot kernels (the Taylor shift, root multiplicity and the product) run
-on cleared integer numerators: the coefficients times the lcm of their
-denominators.  They build a ``Fraction`` only for each coefficient they
-return, so the arithmetic stays exact without a gcd per operation.
+The hot kernels (the Taylor shift, root multiplicity, the product,
+division with remainder and the gcd) run on cleared integer numerators:
+the coefficients times the lcm of their denominators.  They build a
+``Fraction`` only for each coefficient they return, so the arithmetic
+stays exact without a gcd per operation.
 """
 
 from __future__ import annotations
@@ -157,21 +158,20 @@ class Poly:
         return out
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
+        """Quotient and remainder, by integer pseudo-division of the
+        cleared numerators; one Fraction is built per output coefficient."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
+        if len(self.coeffs) < len(other.coeffs):
             return Poly.zero(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.leading()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quo), Poly(rem)
+        xs, xden = self.integer_coeffs()
+        ys, yden = other.integer_coeffs()
+        quo, rem, s = _pseudo_divmod(xs, ys)
+        # s * xs = quo * ys + rem, so self = quo * (yden / (s xden)) * other
+        # + rem / (s xden)
+        scale = s * xden
+        return (Poly([Fraction(c * yden, scale) for c in quo]),
+                Poly([Fraction(c, scale) for c in rem]))
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -242,10 +242,23 @@ class Poly:
         return Poly([c / lead for c in self.coeffs])
 
     def gcd(self, other: Poly) -> Poly:
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """Monic gcd (zero only when both are zero), by the primitive
+        remainder sequence of the cleared integer numerators (G. E.
+        Collins, "Subresultants and reduced polynomial remainder
+        sequences", J. ACM 14, 1967): each pseudo-remainder is divided by
+        its content, so no Fraction is built until the monic result."""
+        if self.is_zero() or other.is_zero():
+            return (other if self.is_zero() else self).monic()
+        a, b = self.integer_coeffs()[0], other.integer_coeffs()[0]
+        if len(a) < len(b):
+            a, b = b, a
+        a, b = _primitive(a), _primitive(b)
+        while len(b) > 1:
+            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+        if b:  # a nonzero constant remainder: the gcd is 1
+            return Poly.one()
+        lead = a[-1]
+        return Poly([Fraction(c, lead) for c in a])
 
     def is_squarefree(self) -> bool:
         if self.is_zero():
@@ -337,6 +350,43 @@ def _taylor_passes(a: list[int], u: int, v: int) -> Iterator[int]:
         yield a[k]
     if deg >= 0:
         yield a[deg]
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division of trimmed coefficient lists, b nonzero:
+    (q, r, s) with s * a = q * b + r, deg r < deg b, r trimmed.
+
+    Each step cancels the leading term of r after scaling r (and the
+    quotient so far) by lc(b) / gcd(lc(b), lead r) only, so s is 1 when
+    every leading coefficient met is a multiple of lc(b).
+    """
+    r = list(a)
+    db = len(b) - 1
+    lc = b[-1]
+    q = [0] * max(len(a) - db, 0)
+    s = 1
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        g = math.gcd(c, lc)
+        f, c = lc // g, c // g
+        if f != 1:
+            r = [f * x for x in r]
+            q = [f * x for x in q]
+            s *= f
+        q[k] = c
+        for j in range(db):
+            r[k + j] -= c * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, s
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by the gcd of its entries (the content)."""
+    content = math.gcd(*a)
+    return [x // content for x in a] if content > 1 else a
 
 
 def _divisors(n: int) -> list[int]:

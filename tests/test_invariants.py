@@ -37,6 +37,12 @@ curve = make_curve([1, -1, 0, 0, 0, 1])
 riemann_roch_space(curve, Divisor({INF: 3, curve.point(0, 1): 2,
                                    curve.point(1, -1): -1}))
 """,
+    "criterion_1_order_threshold": """\
+import secantflow.curve as c
+c.nullspace = lambda rows, cols: [[1] + [0] * (cols - 1)]
+curve = make_curve([1, -1, 0, 0, 0, 1])
+riemann_roch_space(curve, Divisor({INF: 4, curve.point(0, 1): -1}))
+""",
     "criterion_4_codim_two_ways": """\
 import secantflow.morse as m
 m.unstable_fibre_dim = lambda params, d: 0

@@ -79,6 +79,49 @@ def test_gcd_matches_sympy(p, q):
     assert ours.monic() == theirs.monic()
 
 
+def _sympy_divmod(p: Poly, q: Poly):
+    quo, rem = sympy.div(to_sympy(p), to_sympy(q))
+    return Poly(sympy_coeffs(quo)), Poly(sympy_coeffs(rem))
+
+
+def _sympy_gcd(p: Poly, q: Poly) -> Poly:
+    g = sympy.gcd(to_sympy(p), to_sympy(q))
+    return Poly(sympy_coeffs(g.monic() if not g.is_zero else g))
+
+
+EDGE_POLYS = [Poly.zero(), Poly([3]), Poly([Fraction(-2, 7)]),
+              Poly([Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]),
+              Poly([0, 0, Fraction(-6, 5)]),
+              Poly([-1, 0, Fraction(7, 2), Fraction(-7, 9)])]
+
+
+@pytest.mark.parametrize("p", EDGE_POLYS)
+@pytest.mark.parametrize("q", EDGE_POLYS)
+def test_gcd_and_divmod_edge_cases_match_sympy(p, q):
+    """Zero, constant and non-monic Fraction inputs, every ordered pair."""
+    assert p.gcd(q) == _sympy_gcd(p, q)
+    if q.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            divmod(p, q)
+    else:
+        assert divmod(p, q) == _sympy_divmod(p, q)
+
+
+@given(polys.filter(bool), polys | wide_polys, polys | wide_polys)
+@settings(max_examples=120, deadline=None)
+def test_gcd_and_divmod_with_planted_factor_match_sympy(c, p, q):
+    """A common factor c planted in both arguments, so the remainder
+    sequence runs past the first step; coefficients up to 10^6 in
+    numerator and denominator."""
+    cp, cq = c * p, c * q
+    g = cp.gcd(cq)
+    assert g == _sympy_gcd(cp, cq)
+    assert g.is_zero() or g.leading() == 1
+    if not cq.is_zero():
+        assert divmod(cp, cq) == _sympy_divmod(cp, cq)
+    assert divmod(cp, c) == (p, Poly.zero())
+
+
 @given(polys, small_fracs)
 @settings(max_examples=100, deadline=None)
 def test_shift_is_composition(p, x0):

@@ -78,6 +78,23 @@ def test_dual_class_must_be_nonzero():
     assert e.projectively_equal(DualClass((Fraction(1), Fraction(2))))
 
 
+def test_integer_dual_class_normalizes_exactly():
+    # int coordinates once divided with "/" and became floats, which
+    # DualClass refuses
+    e = DualClass((0, 2, 4))
+    assert e.normalized().coords == (0, 1, 2)
+    assert all(isinstance(c, Fraction) for c in e.normalized().coords)
+    assert e.projectively_equal(DualClass((0, Fraction(-1, 3), Fraction(-2, 3))))
+    assert not e.projectively_equal(DualClass((0, 1, 3)))
+
+
+def test_dual_class_keeps_its_integral_coordinates():
+    e = DualClass((Fraction(1, 2), Fraction(-2, 3), 0))
+    assert e.integral == (3, -4, 0)
+    assert e.integral is e.integral       # cleared once, then kept
+    assert e == DualClass(e.coords) and hash(e) == hash(DualClass(e.coords))
+
+
 # -- ambient dimension ------------------------------------------------------
 
 def test_ambient_dimension(g2, pair):

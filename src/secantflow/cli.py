@@ -31,10 +31,20 @@ from .secant import BundlePair, embedding_matrix
 SCHEMA_VERSION = 1
 
 
+def _json_int(text: str):
+    # An integer literal longer than int() converts from str (4,300 digits
+    # by default) stays a string, so the field that reads it refuses it by
+    # name; json itself would raise a bare ValueError.
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _load_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise MalformedInputError(f"cannot read {what} file {path}: {exc}",
                                   field=what) from exc

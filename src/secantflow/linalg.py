@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions.  Everything reduces to one
-fraction-free Gauss-Jordan elimination over the integers: each row is
+Matrices are lists of rows of Fractions (or ints).  Everything reduces to
+one fraction-free Gauss-Jordan elimination over the integers: each row is
 cleared of denominators, then Bareiss's update keeps every entry an
 integer (a minor of the input) without gcd normalisation (E. H. Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22, 1968).  No pivoting heuristics are needed
-because there is no roundoff.  These routines are deliberately small and
-boring: the test suite cross-checks each of them against an independent
-implementation.
+because there is no roundoff.  The right kernel is read straight off that
+elimination as primitive integer vectors (``integer_kernel``);
+``nullspace`` is its Fraction view.  These routines are deliberately small
+and boring: the test suite cross-checks each of them against an
+independent implementation.
 """
 
 from __future__ import annotations
@@ -20,20 +22,11 @@ from .errors import invariant
 
 Matrix = list  # list[list[Fraction]]
 Vector = list  # list[Fraction]
+_ZERO = Fraction(0)
 
 
 def transpose(m: Matrix) -> Matrix:
-    if not m:
-        return []
     return [list(col) for col in zip(*m)]
-
-
-def from_columns(cols: list[Vector]) -> Matrix:
-    return transpose(cols)
-
-
-def columns(m: Matrix) -> list[Vector]:
-    return transpose(m)
 
 
 def rref(m: Matrix) -> tuple[list[list[int]], list[int], int]:
@@ -80,28 +73,38 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def nullspace(m: Matrix, cols: int | None = None) -> list[Vector]:
-    """Basis of the right kernel {v : m v = 0} (vectors in Q^cols).
+def integer_kernel(m: Matrix, cols: int | None = None) -> list[list[int]]:
+    """Basis of the right kernel {v : m v = 0}: per free column fc of
+    rref(m) = (rows, pivots, d), d at fc and -rows[i][fc] at the i-th
+    pivot, divided by the content signed like d.  Entry fc is then
+    positive and the last nonzero one (rows vanish left of their pivot).
 
-    ``cols`` must be supplied when m has no rows (the representation cannot
-    carry a column count through an empty row list).
+    ``cols`` must be supplied when m has no rows (the representation
+    cannot carry a column count through an empty row list).
     """
-    rows = len(m)
     if cols is None:
-        cols = len(m[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[Fraction(int(i == j)) for i in range(cols)] for j in range(cols)]
+        cols = len(m[0]) if m else 0
+    if not m:
+        return [[int(i == j) for i in range(cols)] for j in range(cols)]
     r, pivots, d = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[fc] = d
         for i, pc in enumerate(pivots):
-            v[pc] = Fraction(-r[i][fc], d)
-        basis.append(v)
+            v[pc] = -r[i][fc]
+        g = math.gcd(*v) if d > 0 else -math.gcd(*v)
+        basis.append([x // g for x in v] if g != 1 else v)
+    return basis
+
+
+def nullspace(m: Matrix, cols: int | None = None) -> list[Vector]:
+    """``integer_kernel`` as Fraction vectors, each scaled to 1 at its
+    free column (its last nonzero entry)."""
+    basis = []
+    for v in integer_kernel(m, cols):
+        lead = next(x for x in reversed(v) if x)
+        basis.append([Fraction(x, lead) if x else _ZERO for x in v])
     return basis
 
 
@@ -127,11 +130,6 @@ def augment(a: Matrix, b: Matrix) -> Matrix:
     return [ra + rb for ra, rb in zip(a, b)]
 
 
-def column_span_equal(a: Matrix, b: Matrix) -> bool:
-    ra, rb = rank(a), rank(b)
-    return ra == rb == rank(augment(a, b))
-
-
 def column_span_intersection(a: Matrix, b: Matrix) -> list[Vector]:
     """Basis of span(columns of a) ∩ span(columns of b).
 
@@ -151,5 +149,5 @@ def column_span_intersection(a: Matrix, b: Matrix) -> list[Vector]:
     # the vectors w span the intersection; reduce to a basis
     if not inter:
         return []
-    pivots = rref(from_columns(inter))[1]
+    pivots = rref(transpose(inter))[1]
     return [inter[c] for c in pivots]

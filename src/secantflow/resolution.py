@@ -68,11 +68,10 @@ def flow_line_point(curve: HyperellipticCurve, pair: BundlePair,
                     cls: DualClass, witness: Divisor, pool,
                     phase: Fraction | None = Fraction(0)) -> FlowLinePoint:
     """Build a FlowLinePoint after checking the witness really is a
-    minimal secant witness of the class over the pool."""
-    plane = secant_plane(curve, pair, witness)
-    if not plane_membership(cls, plane):
-        raise WitnessNotMinimalError(
-            "the class does not lie on the witness plane")
+    minimal secant witness of the class over the pool.  A class off the
+    witness plane fails too: the witness is then not among the minimal
+    witnesses the stratum search returns."""
+    secant_plane(curve, pair, witness)  # validates the witness
     res = stratum_membership(curve, pair, cls, tuple(pool), witness.degree)
     if res is None or res.N < witness.degree or witness not in res.witnesses:
         raise WitnessNotMinimalError(

@@ -6,13 +6,15 @@ the twist (L1 - L2 + K).  A degree-N effective divisor D spans a plane
 there; concretely the plane is the column span of the n x N matrix whose
 block at a point p of multiplicity k holds the jets of the section basis
 at p through order k-1.  Residue functionals against z^-1..z^-k span the
-same block, so ranks, intersections and memberships computed from jets are
-the ones the geometry dictates.
+same block, so ranks computed from jets are the ones the geometry dictates.
 
-The degree bound deg D < d1 - d2 keeps every such matrix of full rank N;
-within the bound two planes intersect exactly in the plane of the pointwise
-gcd of their witnesses.  Both facts are verified per instance, never
-assumed.
+Every other query goes through the plane's annihilator, the integer rows
+spanning the jet matrix's left kernel: a class lies on the plane when it
+pairs to zero with every row, and two planes meet in dimension n - rank of
+their stacked annihilators.  The degree bound deg D < d1 - d2 keeps every
+jet matrix of full rank N; within it two planes meet exactly in the plane
+of the pointwise gcd of their witnesses.  Both facts are verified per
+instance, in integers, never assumed.
 """
 
 from __future__ import annotations
@@ -143,16 +145,14 @@ class SecantPlane:
 
     @cached_property
     def annihilator(self) -> tuple[tuple[int, ...], ...]:
-        """Integer rows spanning the left kernel of the jet matrix, n - N
-        of them (each kernel vector cleared of denominators).
-
-        By duality these are the sections of the twist vanishing on the
-        witness, so a class lies on the plane exactly when every row
-        pairs to zero with it.  Computed on the first membership test:
-        a plane that is never tested pays no elimination for it.
+        """Primitive integer rows spanning the left kernel of the jet
+        matrix, n - N of them: by duality the sections of the twist
+        vanishing on the witness, so a class lies on the plane exactly
+        when every row pairs to zero with it.  Computed on the first
+        query: a plane that is never queried pays no elimination for it.
         """
-        return tuple(tuple(linalg.integral(v)) for v in
-                     linalg.nullspace(linalg.transpose(self.matrix())))
+        return tuple(map(tuple, linalg.integer_kernel(
+            linalg.transpose(self.span))))
 
 
 @lru_cache(maxsize=128)
@@ -232,7 +232,7 @@ def embedding_matrix(curve: HyperellipticCurve, pair: BundlePair,
     cols: list[tuple[Fraction, ...]] = []
     for p, mult in D.items():
         cols.extend(_jet_block(curve, pair, p, mult))
-    return linalg.from_columns(cols)
+    return linalg.transpose(cols)
 
 
 def point_class(curve: HyperellipticCurve, pair: BundlePair, p) -> DualClass:
@@ -275,12 +275,12 @@ def plane_membership(e: DualClass, plane: SecantPlane) -> bool:
 
 
 def plane_intersection(p1: SecantPlane, p2: SecantPlane) -> SecantPlane | None:
-    """Intersection of two secant planes within the degree bound.
-
-    The result is the plane of gcd(D1, D2) (pointwise minimum), or None
-    when the witnesses share no point.  The identity is verified: the
-    exact intersection of the two column spans is computed and compared
-    with the gcd plane's span; DegenerateRankError on any mismatch.
+    """The plane of E = gcd(D1, D2) (pointwise minimum), or None when the
+    witnesses share no point, as the rank law implies while deg lcm(D1, D2)
+    < d1 - d2.  Verified in integers: the planes meet in dimension
+    n - rank [A1; A2] of their stacked annihilators, which must be deg E,
+    and E's columns pair to zero with both, so the planes are equal.
+    DegenerateRankError on any mismatch, as when wider planes meet in more.
     """
     if p1.curve != p2.curve or p1.pair != p2.pair:
         raise DimensionMismatchError("planes live in different ambients")
@@ -288,18 +288,19 @@ def plane_intersection(p1: SecantPlane, p2: SecantPlane) -> SecantPlane | None:
     for p in (p1, p2):
         if p.witness.degree >= pair.delta:
             raise BoundViolationError("witness degree outside the plane bound")
-    inter = linalg.column_span_intersection(p1.matrix(), p2.matrix())
     E = p1.witness.gcd(p2.witness)
+    stacked = [*p1.annihilator, *p2.annihilator]
+    dim = p1.n_rows - linalg.rank(stacked)
+    if dim != E.degree:
+        raise DegenerateRankError(
+            f"planes meet in dimension {dim}, not deg {E!r} = {E.degree}")
     if E.is_zero():
-        if inter:
-            raise DegenerateRankError(
-                "planes of disjoint witnesses intersect nontrivially")
         return None
     plane_e = secant_plane(curve, pair, E)
-    if len(inter) != E.degree or not linalg.column_span_equal(
-            linalg.from_columns(inter), plane_e.matrix()):
+    cols = [linalg.integral(col) for col in zip(*plane_e.span)]
+    if any(sum(map(mul, row, x)) for row in stacked for x in cols):
         raise DegenerateRankError(
-            f"span intersection does not match the plane of {E!r}")
+            f"the plane of {E!r} does not lie on both planes")
     return plane_e
 
 

@@ -23,14 +23,17 @@ def frac_to_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-# A decimal exponent ("1e4300") above MAX_EXPONENT is refused before it is
-# expanded.  10^4300 already has more digits than CPython converts between
-# int and str by default (sys.int_info.default_max_str_digits), so no value
-# beyond it can be written in the plain "p/q" form either.  Parsing
-# "1e4300" takes 0.07 ms; "1e1000000" takes 0.26 s and "1e10000000" 12.6 s
-# (CPython 3.11, 2-core x86 host), and the cost grows faster than the
-# exponent.
-MAX_EXPONENT = 4300
+# CPython converts at most MAX_DIGITS digits between int and str by default
+# (sys.int_info.default_max_str_digits), so a rational whose numerator or
+# denominator is longer could not be written back in the plain "p/q" form;
+# the reader refuses it.  A decimal exponent ("1e4300") above MAX_EXPONENT
+# is refused before it is expanded: 10^4299 is the largest power of ten
+# with at most MAX_DIGITS digits.  Parsing "1e4300" takes 0.07 ms;
+# "1e1000000" takes 0.26 s and "1e10000000" 12.6 s (CPython 3.11, 2-core
+# x86 host), and the cost grows faster than the exponent.
+MAX_DIGITS = 4300
+MAX_EXPONENT = MAX_DIGITS - 1
+_TOO_LONG = 10 ** MAX_DIGITS
 
 
 def frac_from_str(s, field: str = "value") -> Fraction:
@@ -38,20 +41,27 @@ def frac_from_str(s, field: str = "value") -> Fraction:
         raise MalformedInputError(
             f"expected a rational string, got {s!r}", field=field)
     if isinstance(s, int):
-        return Fraction(s)
-    _, marker, exponent = s.upper().partition("E")
-    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if marker and digits.isdecimal() and (
-            len(digits) > len(str(MAX_EXPONENT))
-            or int(digits) > MAX_EXPONENT):
+        q = Fraction(s)
+    else:
+        _, marker, exponent = s.upper().partition("E")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if marker and digits.isdecimal() and (
+                len(digits) > len(str(MAX_EXPONENT))
+                or int(digits) > MAX_EXPONENT):
+            raise MalformedInputError(
+                f"exponent of {s[:40]!r} is above {MAX_EXPONENT} in "
+                "absolute value", field=field)
+        try:
+            q = Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MalformedInputError(
+                f"cannot parse rational {s[:40]!r}: {exc}",
+                field=field) from exc
+    if abs(q.numerator) >= _TOO_LONG or q.denominator >= _TOO_LONG:
         raise MalformedInputError(
-            f"exponent of {s[:40]!r} is above {MAX_EXPONENT} in absolute "
-            "value", field=field)
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInputError(
-            f"cannot parse rational {s!r}: {exc}", field=field) from exc
+            f"numerator or denominator has more than {MAX_DIGITS} digits",
+            field=field)
+    return q
 
 
 def poly_to_list(p: Poly) -> list[str]:

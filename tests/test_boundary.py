@@ -3,8 +3,9 @@
 Every public function that takes a divisor, a witness or a pool rejects an
 off-curve point and a Weierstrass point itself, so the per-point kernels
 behind it (y_series, valuation, jet) need not check again.  At the JSON
-boundary, a rational with a runaway decimal exponent and a JSON boolean
-standing for a number exit 2 at once, naming the field.
+boundary, a rational with a runaway decimal exponent, a number with more
+digits than CPython converts to and from str (bare or quoted), and a JSON
+boolean standing for a number exit 2 at once, naming the field.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from secantflow import (
 )
 from secantflow import cli
 from secantflow.errors import SecantflowError
-from secantflow.serialize import MAX_EXPONENT, frac_from_str
+from secantflow.serialize import MAX_DIGITS, MAX_EXPONENT, frac_from_str
 
 CURVE = make_curve([0, 3, 0, 0, 0, 1])      # y^2 = x^5 + 3x
 GOOD, OTHER = CURVE.point(1, 2), CURVE.point(1, -2)
@@ -89,6 +90,8 @@ def test_entry_point_accepts_admissible_point(entry):
 
 G2 = ["1", "-1", "0", "0", "0", "1"]                     # y^2 = x^5 - x + 1
 DIV = {"inf": 5, "affine": [{"x": "0", "y": "1", "mult": 1}]}
+LONG = "7" * 5000
+BARE = "bare " + LONG    # written unquoted: a JSON number of 5,000 digits
 
 MALFORMED = {
     # (curve, divisor, field named in the diagnostic)
@@ -98,6 +101,19 @@ MALFORMED = {
         {"inf": 5, "affine": [{"x": "1e-99999999", "y": "1"}]},
         "divisor.affine[0].x"),
     "exponent_above_cap": ({"f": [*G2[:5], "1E+4301"]}, DIV, "f[5]"),
+    "exponent_past_digit_limit": ({"f": [*G2[:5], "1e4300"]}, DIV, "f[5]"),
+    "mantissa_past_digit_limit": ({"f": [*G2[:5], "12e4299"]}, DIV, "f[5]"),
+    "denominator_past_digit_limit": (
+        {"f": G2},
+        {"inf": 5, "affine": [{"x": "0.01e-4299", "y": "1"}]},
+        "divisor.affine[0].x"),
+    "long_digit_string": ({"f": [LONG, *G2[1:]]}, DIV, "f[0]"),
+    "long_bare_coefficient": ({"f": [BARE, *G2[1:]]}, DIV, "f[0]"),
+    "long_bare_inf": ({"f": G2}, {"inf": BARE, "affine": []}, "divisor.inf"),
+    "long_bare_mult": (
+        {"f": G2},
+        {"inf": 5, "affine": [{"x": "0", "y": "1", "mult": BARE}]},
+        "divisor.affine[0].mult"),
     "boolean_coefficient": ({"f": [True, *G2[1:]]}, DIV, "f[0]"),
     "boolean_inf": ({"f": G2}, {"inf": True, "affine": []}, "divisor.inf"),
     "boolean_mult": (
@@ -113,7 +129,7 @@ def test_wire_input_exits_two_naming_the_field(tmp_path, capsys, case):
     paths = []
     for name, payload in (("curve", curve), ("divisor", divisor)):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(payload).replace(json.dumps(BARE), LONG))
         paths.append(str(path))
     started = time.perf_counter()
     code = cli.main(["rr-space", "--curve", paths[0], "--divisor", paths[1]])
@@ -121,6 +137,18 @@ def test_wire_input_exits_two_naming_the_field(tmp_path, capsys, case):
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert out.err.startswith(f"input error [cli]: {field}: "), out.err
+
+
+def test_numbers_at_the_digit_limit_round_trip(tmp_path, capsys):
+    top = "9" * MAX_DIGITS
+    assert frac_from_str(f"1/{top}") == Fraction(1, 10 ** MAX_DIGITS - 1)
+    curve, divisor = tmp_path / "curve.json", tmp_path / "divisor.json"
+    curve.write_text('{"f": [%s, "-1", "0", "0", "0", "1"]}' % top)
+    divisor.write_text('{"inf": 4}')
+    assert cli.main(["rr-space", "--curve", str(curve),
+                     "--divisor", str(divisor)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["curve"]["f"][0] == top and out["dim"] == 3
 
 
 def test_exponent_at_the_cap_is_read():

@@ -1,10 +1,17 @@
-"""Golden output: ``rr-space`` JSON and CSV stdout, byte for byte.
+"""Golden output: ``rr-space``, ``secant-matrix`` and ``chains
+--check-diagram`` JSON and CSV stdout, byte for byte.
 
 The expected bytes under ``tests/golden/rr_space`` pin the Riemann-Roch
 bases (their normal form included) for a fixed set of criterion-1
 divisors: negative and non-reduced multiplicities, a conjugate pair over
 one fibre, a space of dimension 0, and a genus-3 curve.  Any change to
 how L(D) is computed or normalised must leave these bytes alone.
+
+The bytes under ``tests/golden/secant_matrix`` and ``tests/golden/chains``
+pin the plane path: jet matrices with their ranks (repeated points, a
+conjugate pair, genus 3), and broken flow lines with the commuting-diagram
+and fibre-count report, whose classes and minimal witnesses come from
+secant-plane membership tests.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import pytest
 
 from secantflow import cli
 
-GOLDEN = Path(__file__).parent / "golden" / "rr_space"
+GOLDEN = Path(__file__).parent / "golden"
 
 G2 = {"f": ["1", "-1", "0", "0", "0", "1"]}              # y^2 = x^5 - x + 1
 G3 = {"f": ["1", "-36", "0", "49", "0", "-14", "0", "1"]}
@@ -25,6 +32,10 @@ G3 = {"f": ["1", "-36", "0", "49", "0", "-14", "0", "1"]}
 
 def _pt(x, y, mult):
     return {"x": str(x), "y": str(y), "mult": mult}
+
+
+def _pool(*points):
+    return {"points": [{"x": str(x), "y": str(y)} for x, y in points]}
 
 
 CASES = {
@@ -39,23 +50,86 @@ CASES = {
                                           _pt(3, 1, 1), _pt(3, -1, 1)]}),
 }
 
+# (curve, divisor, d1, d2, m)
+SECANT_CASES = {
+    "single_point": (G2, {"affine": [_pt(0, 1, 1)]}, 5, 0, 5),
+    "fat_point": (G2, {"affine": [_pt(0, 1, 2), _pt(1, 1, 1)]}, 5, 0, 5),
+    "conjugate_pair": (G2, {"affine": [_pt(1, 1, 2), _pt(1, -1, 2)]},
+                       6, 1, 6),
+    "genus_3": (G3, {"affine": [_pt(2, 1, 1), _pt(3, -1, 2),
+                                _pt(-1, 1, 1)]}, 6, 0, 6),
+}
 
-def rr_space_stdout(tmp_path, capsys, case: str, emit: str) -> str:
-    curve, divisor = CASES[case]
-    paths = []
-    for name, payload in (("curve", curve), ("divisor", divisor)):
+TOP = {"L1": {"inf": 3, "affine": []}, "L2": {"inf": -2, "affine": []},
+       "M": {"inf": 6, "affine": []},
+       "phi": {"a": ["1"], "b": [], "den": ["1"]}}
+POOL_6 = _pool((0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+# (curve, top, pool, ell)
+CHAINS_CASES = {
+    "pool6_ell2": (G2, TOP, POOL_6, 2),
+    "pool4_ell1": (G2, TOP, {"points": POOL_6["points"][:4]}, 1),
+    "genus_3": (G3, TOP, _pool((0, 1), (1, -1), (2, 1)), 1),
+}
+
+
+def cli_stdout(tmp_path, capsys, payloads: dict, argv: list[str]) -> str:
+    """Run the CLI in process with each payload written to its own file;
+    "{name}" in argv stands for that file's path."""
+    paths = {}
+    for name, payload in payloads.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
-        paths.append(str(path))
-    code = cli.main(["rr-space", "--curve", paths[0], "--divisor", paths[1],
-                     "--emit", emit])
+        paths[name] = str(path)
+    code = cli.main([arg.format(**paths) for arg in argv])
     out = capsys.readouterr()
     assert code == 0, out.err
     return out.out
 
 
+def rr_space_stdout(tmp_path, capsys, case: str, emit: str) -> str:
+    curve, divisor = CASES[case]
+    return cli_stdout(tmp_path, capsys, {"curve": curve, "divisor": divisor},
+                      ["rr-space", "--curve", "{curve}",
+                       "--divisor", "{divisor}", "--emit", emit])
+
+
+def secant_matrix_stdout(tmp_path, capsys, case: str, emit: str) -> str:
+    curve, divisor, d1, d2, m = SECANT_CASES[case]
+    return cli_stdout(tmp_path, capsys, {"curve": curve, "divisor": divisor},
+                      ["secant-matrix", "--curve", "{curve}",
+                       "--divisor", "{divisor}", "--d1", str(d1),
+                       "--d2", str(d2), "--m", str(m), "--emit", emit])
+
+
+def chains_stdout(tmp_path, capsys, case: str, emit: str) -> str:
+    curve, top, pool, ell = CHAINS_CASES[case]
+    return cli_stdout(tmp_path, capsys,
+                      {"curve": curve, "top": top, "pool": pool},
+                      ["chains", "--curve", "{curve}", "--top", "{top}",
+                       "--pool", "{pool}", "--ell", str(ell),
+                       "--check-diagram", "--emit", emit])
+
+
 @pytest.mark.parametrize("emit", ["json", "csv"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_rr_space_output_is_pinned(tmp_path, capsys, case, emit):
-    expected = (GOLDEN / f"{case}.{emit}").read_text(encoding="utf-8")
+    expected = (GOLDEN / "rr_space" / f"{case}.{emit}").read_text(
+        encoding="utf-8")
     assert rr_space_stdout(tmp_path, capsys, case, emit) == expected
+
+
+@pytest.mark.parametrize("emit", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(SECANT_CASES))
+def test_secant_matrix_output_is_pinned(tmp_path, capsys, case, emit):
+    expected = (GOLDEN / "secant_matrix" / f"{case}.{emit}").read_text(
+        encoding="utf-8")
+    assert secant_matrix_stdout(tmp_path, capsys, case, emit) == expected
+
+
+@pytest.mark.parametrize("emit", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(CHAINS_CASES))
+def test_chains_output_is_pinned(tmp_path, capsys, case, emit):
+    expected = (GOLDEN / "chains" / f"{case}.{emit}").read_text(
+        encoding="utf-8")
+    assert chains_stdout(tmp_path, capsys, case, emit) == expected

@@ -3,7 +3,9 @@
 Each case breaks one step behind an acceptance check with a monkeypatch
 and runs the check's core call in a ``python -O`` subprocess, where every
 ``assert`` statement would be stripped; InvariantError must still be
-raised.
+raised.  The secant identities (the rank law, criterion 2, and the gcd
+intersection, criterion 3) report a broken step as DegenerateRankError,
+under ``-O`` alike.
 """
 
 from __future__ import annotations
@@ -77,17 +79,63 @@ enumerate_chains(curve, top, 2, pool)
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_invariant_fires_under_optimize(case):
+# Planes built before the patch, so only the intersection check can fire:
+# those of p + q and p + r, whose witnesses meet in p, and that of p.
+PLANES = """\
+import secantflow.linalg as la
+curve = make_curve([1, -1, 0, 0, 0, 1])
+pair = BundlePair.at_infinity(5, 0, 5)
+p, q, r = curve.point(0, 1), curve.point(1, 1), curve.point(-1, 1)
+pl1 = secant_plane(curve, pair, Divisor.of_point(p) + Divisor.of_point(q))
+pl2 = secant_plane(curve, pair, Divisor.of_point(p) + Divisor.of_point(r))
+secant_plane(curve, pair, Divisor.of_point(p))
+"""
+
+# case -> (code, what the message names)
+IDENTITY_CASES = {
+    "criterion_2_rank_law": ("""\
+import secantflow.linalg as la
+la.rank = lambda m: 0
+curve = make_curve([1, -1, 0, 0, 0, 1])
+secant_plane(curve, BundlePair.at_infinity(5, 0, 5),
+             Divisor.of_point(curve.point(0, 1)))
+""", "has rank 0, expected 1"),
+    "criterion_3_intersection_dimension": (PLANES + """\
+la.rank = lambda m: len(m)
+plane_intersection(pl1, pl2)
+""", "meet in dimension"),
+    "criterion_3_intersection_containment": (PLANES + """\
+Divisor.gcd = lambda self, other: Divisor.of_point(q)
+plane_intersection(pl1, pl2)
+""", "does not lie on both planes"),
+}
+
+
+def _stderr_under_optimize(code: str) -> str:
     src = str(Path(secantflow.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": src if not path else src + os.pathsep + path}
-    res = subprocess.run([sys.executable, "-O", "-c", PRELUDE + CASES[case]],
+    res = subprocess.run([sys.executable, "-O", "-c", PRELUDE + code],
                          capture_output=True, text=True, env=env, timeout=60)
     assert res.returncode == 1, res.stderr
-    last = res.stderr.strip().splitlines()[-1]
-    assert last.startswith("secantflow.errors.InvariantError: "), res.stderr
+    return res.stderr
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_invariant_fires_under_optimize(case):
+    err = _stderr_under_optimize(CASES[case])
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("secantflow.errors.InvariantError: "), err
+
+
+@pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+def test_secant_identity_fires_under_optimize(case):
+    code, message = IDENTITY_CASES[case]
+    err = _stderr_under_optimize(code)
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("secantflow.errors.DegenerateRankError: "), err
+    assert message in last, err
 
 
 def test_cli_reports_invariant_failure(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -98,7 +99,29 @@ def test_nullspace_is_kernel_of_right_dimension(m):
     for v in basis:
         assert all(x == 0 for x in linalg.matvec(m, v))
     if basis:
-        assert linalg.rank(linalg.from_columns(basis)) == len(basis)
+        assert linalg.rank(linalg.transpose(basis)) == len(basis)
+
+
+@given(jet_shaped())
+@settings(max_examples=150, deadline=None)
+def test_integer_kernel_is_primitive_and_matches_sympy(m):
+    kernel = linalg.integer_kernel(m)
+    cols = len(m[0])
+    assert len(kernel) == cols - to_sympy(m).rank()
+    for v in kernel:
+        assert len(v) == cols and all(type(x) is int for x in v)
+        assert math.gcd(*v) == 1
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+    if kernel:
+        assert to_sympy(kernel).rank() == len(kernel)
+    # nullspace is the same kernel, scaled to 1 at each free column
+    assert [linalg.integral(v) for v in linalg.nullspace(m)] == kernel
+
+
+def test_integer_kernel_of_no_rows_is_the_unit_basis():
+    assert linalg.integer_kernel([], cols=3) == [[1, 0, 0], [0, 1, 0],
+                                                 [0, 0, 1]]
+    assert linalg.nullspace([], cols=2) == [[1, 0], [0, 1]]
 
 
 def in_span_sympy(m, v):
@@ -159,17 +182,12 @@ def test_intersection_inside_both_spans(a, b):
 
 
 def test_intersection_concrete():
-    a = linalg.from_columns([[Fraction(1), Fraction(0), Fraction(0)],
-                             [Fraction(0), Fraction(1), Fraction(0)]])
-    b = linalg.from_columns([[Fraction(0), Fraction(1), Fraction(0)],
-                             [Fraction(0), Fraction(0), Fraction(1)]])
+    a = linalg.transpose([[Fraction(1), Fraction(0), Fraction(0)],
+                          [Fraction(0), Fraction(1), Fraction(0)]])
+    b = linalg.transpose([[Fraction(0), Fraction(1), Fraction(0)],
+                          [Fraction(0), Fraction(0), Fraction(1)]])
     inter = linalg.column_span_intersection(a, b)
     assert len(inter) == 1
     v = inter[0]
     assert v[0] == 0 and v[2] == 0 and v[1] != 0
 
-
-@given(matrices())
-@settings(max_examples=60, deadline=None)
-def test_span_equal_reflexive(m):
-    assert linalg.column_span_equal(m, m)

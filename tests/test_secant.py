@@ -29,6 +29,7 @@ from secantflow import (
 )
 from secantflow.errors import (
     BoundViolationError,
+    DegenerateRankError,
     DimensionMismatchError,
     InadmissibleSupportError,
     MalformedInputError,
@@ -233,6 +234,39 @@ def test_intersection_requires_same_ambient(g2, pts):
         plane_intersection(pl1, pl2)
 
 
+# -- the identity checks can fail -------------------------------------------
+
+def test_rank_law_failure_raises(monkeypatch, g2, pair, pts):
+    monkeypatch.setattr(linalg, "rank", lambda m: 0)
+    with pytest.raises(DegenerateRankError, match="rank 0, expected 2"):
+        # past the plane cache, so the check runs on this call
+        secant_plane.__wrapped__(
+            g2, pair, Divisor.of_point(pts["p"]) + Divisor.of_point(pts["q"]))
+
+
+def _planes_through_p(g2, pair, pts):
+    # built before any patch, the gcd plane of p included
+    p = Divisor.of_point(pts["p"])
+    secant_plane(g2, pair, p)
+    return (secant_plane(g2, pair, p + Divisor.of_point(pts["q"])),
+            secant_plane(g2, pair, p + Divisor.of_point(pts["pbar"])))
+
+
+def test_intersection_dimension_mismatch_raises(monkeypatch, g2, pair, pts):
+    pl1, pl2 = _planes_through_p(g2, pair, pts)
+    monkeypatch.setattr(linalg, "rank", lambda m: len(m))
+    with pytest.raises(DegenerateRankError, match="meet in dimension"):
+        plane_intersection(pl1, pl2)
+
+
+def test_intersection_containment_failure_raises(monkeypatch, g2, pair, pts):
+    pl1, pl2 = _planes_through_p(g2, pair, pts)
+    q = Divisor.of_point(pts["q"])    # on pl1 only, of the right degree
+    monkeypatch.setattr(Divisor, "gcd", lambda self, other: q)
+    with pytest.raises(DegenerateRankError, match="does not lie on both"):
+        plane_intersection(pl1, pl2)
+
+
 # -- twisted representatives ------------------------------------------------
 
 def test_rank_law_with_point_in_representative(g2, pts):
@@ -372,7 +406,7 @@ def test_membership_agrees_with_sympy_rank(data):
 
     assert len(plane.annihilator) == n - N
     for row in plane.annihilator:
-        for col in linalg.columns(mat):
+        for col in zip(*mat):
             assert sum(a * b for a, b in zip(row, col)) == 0
 
     weights = data.draw(st.lists(small_fracs, min_size=N, max_size=N)
@@ -390,3 +424,57 @@ def test_membership_agrees_with_sympy_rank(data):
     for _ in range(2):
         with pytest.raises(InadmissibleSupportError):
             secant_plane(curve, pair, bad)
+
+
+# -- intersections through the annihilators, against sympy -------------------
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_intersection_agrees_with_sympy_rank(data):
+    curve, pool = ORACLE_CURVE, ORACLE_POOL
+    delta = data.draw(st.integers(5, 6))
+    make_l1 = data.draw(st.sampled_from(_l1_styles(pool[0], pool[1])))
+    pair = BundlePair(delta, 0, delta, make_l1(delta), Divisor.zero(),
+                      Divisor({INF: delta}))
+    kind = data.draw(st.sampled_from(["disjoint", "nested", "shared"]))
+
+    def draw_idx(choices, least, most=delta - 1):
+        n = data.draw(st.integers(least, most))
+        return data.draw(st.lists(st.sampled_from(choices), min_size=n,
+                                  max_size=n))
+
+    everything = range(len(pool))
+    if kind == "disjoint":
+        left = sorted(data.draw(st.sets(st.sampled_from(everything),
+                                        min_size=1, max_size=len(pool) - 1)))
+        right = [i for i in everything if i not in left]
+        idx1, idx2 = draw_idx(left, 1), draw_idx(right, 1)
+    elif kind == "nested":
+        idx1 = draw_idx(everything, 2)
+        idx2 = idx1[:data.draw(st.integers(1, len(idx1) - 1))]
+    else:
+        common = data.draw(st.sampled_from(everything))
+        idx1, idx2 = ([common, *draw_idx(everything, 0, delta - 2)]
+                      for _ in range(2))
+    if data.draw(st.booleans()):
+        idx1, idx2 = idx2, idx1
+    pl1, pl2 = (secant_plane(curve, pair, Divisor([(pool[i], 1) for i in idx]))
+                for idx in (idx1, idx2))
+
+    a, b = sympy.Matrix(pl1.matrix()), sympy.Matrix(pl2.matrix())
+    dim = a.rank() + b.rank() - a.row_join(b).rank()
+    gcd = pl1.witness.gcd(pl2.witness)
+    if pl1.rank + pl2.rank - gcd.degree < delta:
+        # the lcm of the witnesses is inside the degree bound too, where
+        # its plane has full rank and the planes meet in the gcd plane
+        assert dim == gcd.degree
+    if dim != gcd.degree:
+        with pytest.raises(DegenerateRankError):
+            plane_intersection(pl1, pl2)
+        return
+    inter = plane_intersection(pl1, pl2)
+    if dim == 0:
+        assert inter is None and gcd.is_zero()
+    else:
+        assert inter is secant_plane(curve, pair, gcd)
+        assert inter.rank == dim

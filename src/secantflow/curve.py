@@ -588,6 +588,9 @@ def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
             f"jets at the Weierstrass point x = {p.x} are not supported")
     if h.is_zero():
         return JetVector(p, order, tuple([Fraction(0)] * (order + 1)))
+    if h.den.degree == 0:  # den is monic, so it is 1: no division
+        vals = h.numerator_series(p.x, p.y, order + 1)
+        return JetVector(p, order, tuple(vals))
     v_den = h.den.root_multiplicity(p.x)
     n = order + 1 + v_den
     num = h.numerator_series(p.x, p.y, n)

@@ -23,6 +23,7 @@ from .errors import invariant
 Matrix = list  # list[list[Fraction]]
 Vector = list  # list[Fraction]
 _ZERO = Fraction(0)
+_INT = {int}
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -122,6 +123,8 @@ def _integral(v: Vector) -> list[int]:
     # rref clears its rows through this private name, so per-call
     # instrumentation of the public functions (perfbench/tracer.py)
     # records one rref span, not one more per row.
+    if set(map(type, v)) == _INT:  # already cleared: annihilators, columns
+        return list(v)
     den = math.lcm(*(x.denominator for x in v))
     return [x.numerator * (den // x.denominator) for x in v]
 

@@ -8,18 +8,24 @@ block at a point p of multiplicity k holds the jets of the section basis
 at p through order k-1.  Residue functionals against z^-1..z^-k span the
 same block, so ranks computed from jets are the ones the geometry dictates.
 
-Every other query goes through the plane's annihilator, the integer rows
-spanning the jet matrix's left kernel: a class lies on the plane when it
-pairs to zero with every row, and two planes meet in dimension n - rank of
-their stacked annihilators.  The degree bound deg D < d1 - d2 keeps every
-jet matrix of full rank N; within it two planes meet exactly in the plane
-of the pointwise gcd of their witnesses.  Both facts are verified per
-instance, in integers, never assumed.
+Each point's jets are computed once per pair, up to order d1 - d2 - 2,
+the most any witness inside the degree bound needs, and kept both as
+Fractions and cleared to integers column by column; a witness reads its
+columns off those blocks.  One integer elimination of the columns then
+gives both the rank law (rank = n - kernel dimension must be deg D) and
+the plane's annihilator, the integer rows spanning the jet matrix's left
+kernel.  Every other query goes through the annihilator: a class lies on
+the plane when it pairs to zero with every row, and two planes meet in
+dimension n - rank of their stacked annihilators.  The degree bound
+deg D < d1 - d2 keeps every jet matrix of full rank N; within it, for
+deg lcm(D1, D2) < d1 - d2, two planes meet exactly in the plane of the
+pointwise gcd of their witnesses.  Both facts are verified per instance,
+in integers, never assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
@@ -125,12 +131,24 @@ class DualClass:
 
 @dataclass(frozen=True)
 class SecantPlane:
-    """Column span of a witness divisor's jet matrix, with its ambient."""
+    """Column span of a witness divisor's jet matrix, with its ambient.
+
+    ``span`` holds the n x N jet matrix as Fraction rows; ``columns`` holds
+    its N columns cleared to integers (each a positive multiple of its
+    Fraction column); ``annihilator`` holds primitive integer rows spanning
+    the matrix's left kernel, n - N of them: by duality the sections of the
+    twist vanishing on the witness, so a class lies on the plane exactly
+    when every row pairs to zero with it.  The annihilator comes from the
+    same elimination that checked the rank law when the plane was built.
+    Equality and hashing look at the ambient, the witness and ``span``.
+    """
 
     curve: HyperellipticCurve
     pair: BundlePair
     witness: Divisor
     span: tuple[tuple[Fraction, ...], ...]  # rows
+    columns: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    annihilator: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def n_rows(self) -> int:
@@ -142,17 +160,6 @@ class SecantPlane:
 
     def matrix(self) -> list[list[Fraction]]:
         return [list(row) for row in self.span]
-
-    @cached_property
-    def annihilator(self) -> tuple[tuple[int, ...], ...]:
-        """Primitive integer rows spanning the left kernel of the jet
-        matrix, n - N of them: by duality the sections of the twist
-        vanishing on the witness, so a class lies on the plane exactly
-        when every row pairs to zero with it.  Computed on the first
-        query: a plane that is never queried pays no elimination for it.
-        """
-        return tuple(map(tuple, linalg.integer_kernel(
-            linalg.transpose(self.span))))
 
 
 @lru_cache(maxsize=128)
@@ -170,7 +177,16 @@ def twist_section_space(curve: HyperellipticCurve, pair: BundlePair) -> SectionS
 
 @lru_cache(maxsize=1024)
 def _jet_block(curve: HyperellipticCurve, pair: BundlePair, point, order: int):
-    """Columns (orders 0..order-1) of the jet block at one point.
+    """Columns (orders 0..order-1) of the jet block at one point, as
+    Fractions and cleared to integers: (columns, integer columns).
+
+    Callers ask for max(mult, d1 - d2 - 1) orders and slice (see
+    ``_witness_columns``): the jets through order k are a prefix of the
+    jets through any higher order, and inside the degree bound no
+    multiplicity exceeds d1 - d2 - 1, so one block per (pair, point)
+    serves every witness.  Each integer column is its Fraction column
+    times the lcm of its denominators, a positive scale, which keeps the
+    span, the rank and the left kernel.
 
     Jets are taken in a local frame of the twist bundle: when the
     representative divisor L1 - L2 + K carries the point with
@@ -195,8 +211,23 @@ def _jet_block(curve: HyperellipticCurve, pair: BundlePair, point, order: int):
         raise BasisPoleCollisionError(
             f"a section basis element has a pole at ({point.x}, {point.y}); "
             "choose representatives supported away from the witness") from exc
-    return tuple(tuple(jets[i][k] for i in range(space.dim))
+    cols = tuple(tuple(jets[i][k] for i in range(space.dim))
                  for k in range(order))
+    return cols, tuple(tuple(linalg.integral(col)) for col in cols)
+
+
+def _witness_columns(curve: HyperellipticCurve, pair: BundlePair,
+                     D: Divisor) -> tuple[list, list]:
+    """The jet columns of D, block by block in point order, as Fractions
+    and as integers, sliced from each point's one jet block."""
+    cols: list[tuple[Fraction, ...]] = []
+    ints: list[tuple[int, ...]] = []
+    for p, mult in D.items():
+        block, block_ints = _jet_block(curve, pair, p,
+                                       max(mult, pair.delta - 1))
+        cols += block[:mult]
+        ints += block_ints[:mult]
+    return cols, ints
 
 
 def _validate_witness(curve: HyperellipticCurve, D: Divisor) -> None:
@@ -229,16 +260,14 @@ def embedding_matrix(curve: HyperellipticCurve, pair: BundlePair,
     list of rows, n x N.
     """
     _validate_witness(curve, D)
-    cols: list[tuple[Fraction, ...]] = []
-    for p, mult in D.items():
-        cols.extend(_jet_block(curve, pair, p, mult))
-    return linalg.transpose(cols)
+    return linalg.transpose(_witness_columns(curve, pair, D)[0])
 
 
 def point_class(curve: HyperellipticCurve, pair: BundlePair, p) -> DualClass:
     """Image of a curve point in the dual space (the N = 1 column)."""
-    _validate_witness(curve, Divisor.of_point(p))
-    (col,) = _jet_block(curve, pair, p, 1)
+    D = Divisor.of_point(p)
+    _validate_witness(curve, D)
+    (col,), _ = _witness_columns(curve, pair, D)
     return DualClass(col)
 
 
@@ -249,19 +278,25 @@ def secant_plane(curve: HyperellipticCurve, pair: BundlePair,
 
     Raises BoundViolationError outside the degree bound and
     DegenerateRankError if the matrix fails to have rank deg D inside it
-    (which the degree bound rules out; it is checked anyway).  A plane is
-    built and checked once per (curve, pair, D) and then shared; a call
-    that raises is not remembered, so bad input raises every time.
+    (which the degree bound rules out; it is checked anyway).  One
+    integer kernel of the jet columns decides the rank, n minus its
+    dimension, and is kept as the plane's annihilator.  A plane is built
+    and checked once per (curve, pair, D) and then shared; a call that
+    raises is not remembered, so bad input raises every time.
     """
     if D.degree >= pair.delta:
         raise BoundViolationError(
             f"deg D = {D.degree} must stay below d1 - d2 = {pair.delta}")
-    mat = embedding_matrix(curve, pair, D)  # validates the witness
-    r = linalg.rank(mat)
+    _validate_witness(curve, D)
+    cols, ints = _witness_columns(curve, pair, D)
+    n = len(cols[0])
+    kernel = linalg.integer_kernel(ints)
+    r = n - len(kernel)
     if r != D.degree:
         raise DegenerateRankError(
             f"jet matrix of {D!r} has rank {r}, expected {D.degree}")
-    return SecantPlane(curve, pair, D, tuple(tuple(row) for row in mat))
+    return SecantPlane(curve, pair, D, tuple(zip(*cols)), tuple(ints),
+                       tuple(map(tuple, kernel)))
 
 
 def plane_membership(e: DualClass, plane: SecantPlane) -> bool:
@@ -277,18 +312,21 @@ def plane_membership(e: DualClass, plane: SecantPlane) -> bool:
 def plane_intersection(p1: SecantPlane, p2: SecantPlane) -> SecantPlane | None:
     """The plane of E = gcd(D1, D2) (pointwise minimum), or None when the
     witnesses share no point, as the rank law implies while deg lcm(D1, D2)
-    < d1 - d2.  Verified in integers: the planes meet in dimension
+    < d1 - d2; BoundViolationError past that bound, where wider planes
+    may meet in more.  Verified in integers: the planes meet in dimension
     n - rank [A1; A2] of their stacked annihilators, which must be deg E,
-    and E's columns pair to zero with both, so the planes are equal.
-    DegenerateRankError on any mismatch, as when wider planes meet in more.
+    and E's integer columns pair to zero with both, so the planes are
+    equal.  DegenerateRankError on any mismatch.
     """
     if p1.curve != p2.curve or p1.pair != p2.pair:
         raise DimensionMismatchError("planes live in different ambients")
     curve, pair = p1.curve, p1.pair
-    for p in (p1, p2):
-        if p.witness.degree >= pair.delta:
-            raise BoundViolationError("witness degree outside the plane bound")
     E = p1.witness.gcd(p2.witness)
+    lcm_degree = p1.witness.degree + p2.witness.degree - E.degree
+    if lcm_degree >= pair.delta:
+        raise BoundViolationError(
+            f"deg lcm(D1, D2) = {lcm_degree} must stay below "
+            f"d1 - d2 = {pair.delta}")
     stacked = [*p1.annihilator, *p2.annihilator]
     dim = p1.n_rows - linalg.rank(stacked)
     if dim != E.degree:
@@ -297,8 +335,7 @@ def plane_intersection(p1: SecantPlane, p2: SecantPlane) -> SecantPlane | None:
     if E.is_zero():
         return None
     plane_e = secant_plane(curve, pair, E)
-    cols = [linalg.integral(col) for col in zip(*plane_e.span)]
-    if any(sum(map(mul, row, x)) for row in stacked for x in cols):
+    if any(sum(map(mul, row, x)) for row in stacked for x in plane_e.columns):
         raise DegenerateRankError(
             f"the plane of {E!r} does not lie on both planes")
     return plane_e

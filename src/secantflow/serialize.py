@@ -31,8 +31,15 @@ def frac_to_str(q) -> str:
 # with at most MAX_DIGITS digits.  Parsing "1e4300" takes 0.07 ms;
 # "1e1000000" takes 0.26 s and "1e10000000" 12.6 s (CPython 3.11, 2-core
 # x86 host), and the cost grows faster than the exponent.
+# A string longer than MAX_LENGTH is refused before it is parsed: that
+# is room for two MAX_DIGITS-digit numbers with their signs, a slash or a
+# point, an exponent and some whitespace.  Fraction expands a decimal
+# "0.000...1" to 10^len(decimals) before the digit limit applies, so a
+# 10^6-digit decimal took 0.29 s to refuse, and the cost grows faster
+# than the length.
 MAX_DIGITS = 4300
 MAX_EXPONENT = MAX_DIGITS - 1
+MAX_LENGTH = 2 * MAX_DIGITS + 32
 _TOO_LONG = 10 ** MAX_DIGITS
 
 
@@ -42,6 +49,10 @@ def frac_from_str(s, field: str = "value") -> Fraction:
             f"expected a rational string, got {s!r}", field=field)
     if isinstance(s, int):
         q = Fraction(s)
+    elif len(s) > MAX_LENGTH:
+        raise MalformedInputError(
+            f"rational string of {len(s)} characters is longer than "
+            f"{MAX_LENGTH}", field=field)
     else:
         _, marker, exponent = s.upper().partition("E")
         digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")

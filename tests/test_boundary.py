@@ -4,8 +4,9 @@ Every public function that takes a divisor, a witness or a pool rejects an
 off-curve point and a Weierstrass point itself, so the per-point kernels
 behind it (y_series, valuation, jet) need not check again.  At the JSON
 boundary, a rational with a runaway decimal exponent, a number with more
-digits than CPython converts to and from str (bare or quoted), and a JSON
-boolean standing for a number exit 2 at once, naming the field.
+digits than CPython converts to and from str (bare or quoted), a string
+too long to hold two such numbers, and a JSON boolean standing for a
+number exit 2 at once, naming the field.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ def test_entry_point_accepts_admissible_point(entry):
 G2 = ["1", "-1", "0", "0", "0", "1"]                     # y^2 = x^5 - x + 1
 DIV = {"inf": 5, "affine": [{"x": "0", "y": "1", "mult": 1}]}
 LONG = "7" * 5000
+DECIMAL = "0." + "0" * 10 ** 6 + "1"    # a 10^6-digit decimal
 BARE = "bare " + LONG    # written unquoted: a JSON number of 5,000 digits
 
 MALFORMED = {
@@ -108,6 +110,7 @@ MALFORMED = {
         {"inf": 5, "affine": [{"x": "0.01e-4299", "y": "1"}]},
         "divisor.affine[0].x"),
     "long_digit_string": ({"f": [LONG, *G2[1:]]}, DIV, "f[0]"),
+    "long_decimal": ({"f": [*G2[:5], DECIMAL]}, DIV, "f[5]"),
     "long_bare_coefficient": ({"f": [BARE, *G2[1:]]}, DIV, "f[0]"),
     "long_bare_inf": ({"f": G2}, {"inf": BARE, "affine": []}, "divisor.inf"),
     "long_bare_mult": (
@@ -149,6 +152,20 @@ def test_numbers_at_the_digit_limit_round_trip(tmp_path, capsys):
                      "--divisor", str(divisor)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["curve"]["f"][0] == top and out["dim"] == 3
+
+
+def test_long_strings_are_refused_before_parsing():
+    # refused in time linear in the length: Fraction would expand the
+    # decimal to 10^len first, super-linear in the length
+    for digits in (10 ** 6, 10 ** 7):
+        decimal = "0." + "0" * digits + "1"
+        started = time.perf_counter()
+        with pytest.raises(SecantflowError, match="characters is longer"):
+            frac_from_str(decimal)
+        assert time.perf_counter() - started < 0.1
+    top, bottom = "9" * MAX_DIGITS, "8" * MAX_DIGITS
+    assert frac_from_str(f" -{top}/{bottom} ") == Fraction(-int(top),
+                                                         int(bottom))
 
 
 def test_exponent_at_the_cap_is_read():

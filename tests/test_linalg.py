@@ -159,6 +159,7 @@ def test_left_kernel_detects_inconsistent():
 def test_integral_scales_to_integers(v):
     w = linalg.integral(v)
     assert all(type(x) is int for x in w)
+    assert linalg.integral(w) == w    # integers are already cleared
     nonzero = [(a, b) for a, b in zip(v, w) if a]
     assert [a == 0 for a in v] == [b == 0 for b in w]
     if nonzero:

@@ -13,16 +13,21 @@ from hypothesis import strategies as st
 from secantflow import (
     INF,
     BundlePair,
+    CurveFunction,
     Divisor,
     DualClass,
+    Poly,
     StratumResult,
+    jet,
     linalg,
     make_curve,
     plane_intersection,
     plane_membership,
     point_class,
     pool_divisors,
+    secant,
     secant_plane,
+    series,
     standard_curve,
     stratum_membership,
     twist_section_space,
@@ -237,7 +242,10 @@ def test_intersection_requires_same_ambient(g2, pts):
 # -- the identity checks can fail -------------------------------------------
 
 def test_rank_law_failure_raises(monkeypatch, g2, pair, pts):
-    monkeypatch.setattr(linalg, "rank", lambda m: 0)
+    twist_section_space(g2, pair)  # its kernel is built before the patch
+    # the plane's one elimination reports a kernel as wide as the ambient
+    monkeypatch.setattr(linalg, "integer_kernel",
+                        lambda m, cols=None: [[0] * len(m[0])] * len(m[0]))
     with pytest.raises(DegenerateRankError, match="rank 0, expected 2"):
         # past the plane cache, so the check runs on this call
         secant_plane.__wrapped__(
@@ -464,17 +472,106 @@ def test_intersection_agrees_with_sympy_rank(data):
     a, b = sympy.Matrix(pl1.matrix()), sympy.Matrix(pl2.matrix())
     dim = a.rank() + b.rank() - a.row_join(b).rank()
     gcd = pl1.witness.gcd(pl2.witness)
-    if pl1.rank + pl2.rank - gcd.degree < delta:
-        # the lcm of the witnesses is inside the degree bound too, where
-        # its plane has full rank and the planes meet in the gcd plane
-        assert dim == gcd.degree
-    if dim != gcd.degree:
-        with pytest.raises(DegenerateRankError):
+    if pl1.rank + pl2.rank - gcd.degree >= delta:
+        # past the bound on the lcm the planes may meet in more than the
+        # gcd plane: the precondition is refused, whatever they meet in
+        with pytest.raises(BoundViolationError):
             plane_intersection(pl1, pl2)
         return
+    # the lcm of the witnesses is inside the degree bound too, where its
+    # plane has full rank and the planes meet in the gcd plane
+    assert dim == gcd.degree
     inter = plane_intersection(pl1, pl2)
     if dim == 0:
         assert inter is None and gcd.is_zero()
     else:
         assert inter is secant_plane(curve, pair, gcd)
         assert inter.rank == dim
+
+
+def test_intersection_past_the_lcm_bound_is_refused():
+    # deg lcm = 7 >= delta = 5: these planes (dims 3 and 4 in a
+    # 6-dimensional ambient) meet in dimension 1 although the witnesses
+    # share no point, so the precondition is refused, not the gcd identity
+    curve, pool = ORACLE_CURVE, ORACLE_POOL
+    D1 = Divisor.of_point(curve.point(0, 1), 3)
+    D2 = Divisor.of_point(curve.point(-1, 1), 4)
+    for make_l1 in _l1_styles(pool[0], pool[1]):
+        pair = BundlePair(5, 0, 5, make_l1(5), Divisor.zero(),
+                          Divisor({INF: 5}))
+        pl1, pl2 = secant_plane(curve, pair, D1), secant_plane(curve, pair, D2)
+        with pytest.raises(BoundViolationError, match="lcm"):
+            plane_intersection(pl1, pl2)
+        with pytest.raises(BoundViolationError, match="lcm"):
+            plane_intersection(pl2, pl1)
+
+
+# -- one jet block per (pair, point), one elimination per plane --------------
+
+ORACLE_POINTS = [ORACLE_CURVE.point(x, y)
+                 for x in (0, 1, -1, 2, -2) for y in (1, -1)]
+small_polys = st.lists(small_fracs, max_size=4).map(Poly)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_jet_blocks_slice_and_clear_exactly(data):
+    curve = ORACLE_CURVE
+    pool = [ORACLE_POINTS[i] for i in data.draw(st.lists(
+        st.integers(0, len(ORACLE_POINTS) - 1), min_size=4, max_size=6,
+        unique=True))]
+    delta = data.draw(st.integers(5, 7))
+    make_l1 = data.draw(st.sampled_from(_l1_styles(pool[0], pool[1])))
+    pair = BundlePair(delta, 0, delta, make_l1(delta), Divisor.zero(),
+                      Divisor({INF: delta}))
+    basis = twist_section_space(curve, pair).basis
+    h = CurveFunction(curve, data.draw(small_polys), data.draw(small_polys))
+    for p in pool:
+        cols, ints = secant._jet_block(curve, pair, p, delta - 1)
+        for k in range(1, delta):
+            assert (cols[:k], ints[:k]) == secant._jet_block.__wrapped__(
+                curve, pair, p, k)
+        for col, icol in zip(cols, ints):
+            assert all(type(x) is int for x in icol)
+            lead = next((i for i, x in enumerate(col) if x), None)
+            scale = 1 if lead is None else Fraction(icol[lead], col[lead])
+            assert scale > 0 and list(icol) == [scale * x for x in col]
+        # a constant denominator skips the division; the values do not move
+        for f in (h, *(b for b in basis if b.den.degree == 0)):
+            n = delta - 1
+            ref = series.divide(f.numerator_series(p.x, p.y, n + 1),
+                                series.shifted_poly(f.den, p.x, n + 1), n + 1)
+            got = jet(curve, f, p, n).values
+            assert list(got) == ref
+            assert all(type(x) is Fraction for x in got)
+
+    N = data.draw(st.integers(1, delta - 1))
+    idx = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                             min_size=N, max_size=N))
+    plane = secant_plane(curve, pair, Divisor([(pool[i], 1) for i in idx]))
+    assert plane.annihilator == tuple(map(tuple, linalg.integer_kernel(
+        linalg.transpose(plane.span))))
+    assert [list(c) for c in plane.columns] == [
+        linalg.integral(col) for col in zip(*plane.span)]
+
+
+@pytest.mark.parametrize("style", range(3))
+def test_plane_builds_cost_one_jet_block_per_point(monkeypatch, style):
+    curve, pool = ORACLE_CURVE, ORACLE_POOL
+    pair = BundlePair(6, 0, 6, _l1_styles(pool[0], pool[1])[style](6),
+                      Divisor.zero(), Divisor({INF: 6}))
+    dim = twist_section_space(curve, pair).dim
+    secant_plane.cache_clear()
+    secant._jet_block.cache_clear()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return jet(*args)
+
+    monkeypatch.setattr(secant, "jet", counted)
+    for N in range(1, pair.delta):
+        for D in pool_divisors(pool, N):
+            assert secant_plane(curve, pair, D).rank == N
+    assert secant._jet_block.cache_info().misses == len(pool)
+    assert len(calls) <= len(pool) * dim

@@ -231,12 +231,13 @@ def standard_curve(g: int) -> HyperellipticCurve:
 class Divisor:
     """A finite formal Z-combination of curve points.
 
-    Immutable; zero multiplicities are dropped and points are kept sorted,
-    so equal divisors compare and hash equal.  A dict beside the sorted
-    items answers ``coeff`` in O(1), and the arithmetic works on it.
+    Immutable; zero multiplicities are dropped.  A dict from point to
+    multiplicity is the one representation: ``coeff``, equality and the
+    arithmetic read it.  The point order (by ``CurvePoint.sort_key``) is
+    derived on the first ``items()``, hash or repr and kept.
     """
 
-    __slots__ = ("_items", "_coeffs", "_hash")
+    __slots__ = ("_coeffs", "_items", "_hash")
 
     def __init__(self, coeffs: Mapping[CurvePoint, int] | Iterable[tuple[CurvePoint, int]] = ()):
         if isinstance(coeffs, Mapping):
@@ -255,18 +256,16 @@ class Divisor:
         return D
 
     def _fill(self, acc: dict[CurvePoint, int]) -> None:
-        coeffs = {p: m for p, m in acc.items() if m}
-        object.__setattr__(self, "_coeffs", coeffs)
-        object.__setattr__(self, "_items", tuple(
-            sorted(coeffs.items(), key=lambda t: t[0].sort_key())))
+        object.__setattr__(self, "_coeffs", {p: m for p, m in acc.items() if m})
+        object.__setattr__(self, "_items", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
 
     def __reduce__(self):
-        # rebuilt through the constructor, so the kept hash stays behind
-        return Divisor, (self._items,)
+        # rebuilt through the constructor: the kept order and hash stay behind
+        return Divisor, (self._coeffs,)
 
     @classmethod
     def zero(cls) -> Divisor:
@@ -277,16 +276,19 @@ class Divisor:
         return cls(((p, m),))
 
     def items(self) -> tuple[tuple[CurvePoint, int], ...]:
+        if self._items is None:
+            object.__setattr__(self, "_items", tuple(sorted(
+                self._coeffs.items(), key=lambda t: t[0].sort_key())))
         return self._items
 
     def coeff(self, p: CurvePoint) -> int:
         return self._coeffs.get(p, 0)
 
     def support(self) -> tuple[CurvePoint, ...]:
-        return tuple(p for p, _ in self._items)
+        return tuple(p for p, _ in self.items())
 
     def affine_items(self) -> tuple[tuple[CurvePoint, int], ...]:
-        return tuple((p, m) for p, m in self._items if not p.at_infinity)
+        return tuple((p, m) for p, m in self.items() if not p.at_infinity)
 
     @property
     def inf_coeff(self) -> int:
@@ -300,32 +302,32 @@ class Divisor:
         return all(m > 0 for m in self._coeffs.values())
 
     def is_zero(self) -> bool:
-        return not self._items
+        return not self._coeffs
 
     def __add__(self, other: Divisor) -> Divisor:
         acc = dict(self._coeffs)
-        for p, m in other._items:
+        for p, m in other._coeffs.items():
             acc[p] = acc.get(p, 0) + m
         return Divisor._of_dict(acc)
 
     def __neg__(self) -> Divisor:
-        return Divisor._of_dict({p: -m for p, m in self._items})
+        return Divisor._of_dict({p: -m for p, m in self._coeffs.items()})
 
     def __sub__(self, other: Divisor) -> Divisor:
         acc = dict(self._coeffs)
-        for p, m in other._items:
+        for p, m in other._coeffs.items():
             acc[p] = acc.get(p, 0) - m
         return Divisor._of_dict(acc)
 
     def __mul__(self, k: int) -> Divisor:
-        return Divisor._of_dict({p: int(k * m) for p, m in self._items})
+        return Divisor._of_dict({p: int(k * m) for p, m in self._coeffs.items()})
 
     __rmul__ = __mul__
 
     def __le__(self, other: Divisor) -> bool:
         mine, theirs = self._coeffs, other._coeffs
-        return (all(m <= theirs.get(p, 0) for p, m in self._items)
-                and all(m >= 0 for p, m in other._items if p not in mine))
+        return (all(m <= theirs.get(p, 0) for p, m in mine.items())
+                and all(m >= 0 for p, m in theirs.items() if p not in mine))
 
     def gcd(self, other: Divisor) -> Divisor:
         """Pointwise minimum (largest divisor below both)."""
@@ -335,19 +337,19 @@ class Divisor:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Divisor):
-            return self._items == other._items
+            return self._coeffs == other._coeffs
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(("Divisor", self._items)))
+            object.__setattr__(self, "_hash", hash(("Divisor", self.items())))
         return self._hash
 
     def __repr__(self) -> str:
-        if not self._items:
+        if not self._coeffs:
             return "Divisor(0)"
         parts = []
-        for p, m in self._items:
+        for p, m in self.items():
             at = "inf" if p.at_infinity else f"({p.x},{p.y})"
             parts.append(f"{m}*{at}")
         return "Divisor(" + " + ".join(parts) + ")"

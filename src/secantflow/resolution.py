@@ -2,10 +2,11 @@
 
 A critical point is a split bundle with a nilpotent off-diagonal field,
 held here as divisor representatives plus one rational function reused as
-the section across every twist.  A flow line leaving it is recorded by
-the dual class of its initial condition together with the minimal secant
-witness of that class; the downward limit twists the two summands by the
-witness and the section reappears with a double zero along it.
+the section across every twist; it is validated where it enters, once
+per curve.  A flow line leaving it is recorded by the dual class of its
+initial condition with the minimal secant witness of that class; the
+downward limit is the witness twist (``CriticalPointData.twisted``), valid
+by construction, and the section reappears with a double zero along it.
 
 Chains of such steps are the strata of the iterated-blowup picture: the
 paths of one DAG of critical points per query, each node expanded once and
@@ -123,6 +124,11 @@ class CriticalPointData:
     def params(self, curve: HyperellipticCurve) -> ModuliParams:
         return ModuliParams(curve.genus, self.degE, self.degM)
 
+    def twisted(self, D: Divisor) -> CriticalPointData:
+        """The witness twist: D moves from L1 to L2, one level per degree."""
+        return CriticalPointData(self.L1_rep - D, self.L2_rep + D, self.M_rep,
+                                 self.phi, self.d - D.degree)
+
 
 def section_order(curve: HyperellipticCurve, data: CriticalPointData,
                   p: CurvePoint) -> int:
@@ -147,8 +153,10 @@ def _pole_fibre_points(curve: HyperellipticCurve,
     return [p for x0, _ in roots for p in curve.rational_fibre(x0)]
 
 
+@lru_cache(maxsize=1024)
 def _validate_critical_point(curve: HyperellipticCurve,
                              data: CriticalPointData) -> None:
+    # remembered per curve once it passes; lru_cache keeps no failure
     if data.phi.is_zero():
         raise ZeroSectionError("phi must be a nonzero section")
     if 2 * data.d <= data.degE:
@@ -187,13 +195,15 @@ def make_critical_point(curve: HyperellipticCurve, L1_rep: Divisor,
 
 def downward_limit(curve: HyperellipticCurve, top: CriticalPointData,
                    x: FlowLinePoint) -> CriticalPointData:
-    """The critical point the flow line from x converges to.
+    """The critical point the flow line from x converges to: the witness
+    twist ``top.twisted(D)``, whose section gains a zero of order exactly
+    2 * mult at each point of D (verified by the valuation arithmetic).
 
-    The witness D moves from the first summand to the second; the same
-    rational function, reread against the shifted bundle divisor, gains a
-    zero of order exactly 2 * mult at each witness point, and that gain
-    is verified here through the valuation arithmetic.
+    Only top is validated.  Its limit is then valid: for n = deg D,
+    2(d - n) - degE = delta - 2n > 0; the bundle divisor only gains 2D,
+    so phi stays regular; the supports stay among validated points.
     """
+    _validate_critical_point(curve, top)
     D = x.witness  # FlowLinePoint guarantees deg D >= 1
     if 2 * D.degree >= top.delta:
         raise BudgetViolationError(
@@ -211,9 +221,7 @@ def downward_limit(curve: HyperellipticCurve, top: CriticalPointData,
                 f"the witness is not minimal: drop {p!r} and the class "
                 "still lies on the plane")
     before = {p: section_order(curve, top, p) for p, _ in D.items()}
-    limit = CriticalPointData(top.L1_rep - D, top.L2_rep + D, top.M_rep,
-                              top.phi, top.d - D.degree)
-    _validate_critical_point(curve, limit)
+    limit = top.twisted(D)
     for p, mult in D.items():
         gained = section_order(curve, limit, p)
         invariant(gained == before[p] + 2 * mult,
@@ -264,12 +272,8 @@ class ChainRecord:
             raise MalformedInputError("a chain needs at least one step",
                                       field="steps")
         prev = self.top
-        for x, data in self.steps:
-            D = x.witness  # deg D >= 1, so the levels strictly decrease
-            if (data.L1_rep != prev.L1_rep - D or
-                    data.L2_rep != prev.L2_rep + D or
-                    data.M_rep != prev.M_rep or
-                    data.d != prev.d - D.degree):
+        for x, data in self.steps:  # deg D >= 1: the levels strictly fall
+            if data != prev.twisted(x.witness):
                 raise MalformedInputError(
                     "step data is not the witness twist of its predecessor",
                     field="steps")

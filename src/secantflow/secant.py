@@ -196,8 +196,7 @@ def _jet_block(curve: HyperellipticCurve, pair: BundlePair, point, order: int):
     away from the point (c = 0) it is the plain function jet of h.
     """
     space = twist_section_space(curve, pair)
-    twist = pair.L1_rep - pair.L2_rep + curve.canonical_divisor()
-    c = twist.coeff(point)
+    c = space.divisor.coeff(point)
     try:
         if c > 0:
             shift = CurveFunction(

@@ -42,6 +42,15 @@ MAX_EXPONENT = MAX_DIGITS - 1
 MAX_LENGTH = 2 * MAX_DIGITS + 32
 _TOO_LONG = 10 ** MAX_DIGITS
 
+# A divisor whose multiplicities add up to more than MAX_DIVISOR_WEIGHT in
+# absolute value is refused: the cost of L(D) grows steeply with the
+# multiplicity at an affine point.  On y^2 = x^5 - x + 1, L(n*(0, 1)) with
+# its h^1 takes 1.3 s at n = 50, 3.5 s at 64, 6.4 s at 70 and 47 s at 100,
+# while L(800*inf) takes 0.34 s and L(3200*inf) 4.8 s and 175 MB
+# (CPython 3.11, 2-core x86 host).  Split over two or three points the 64
+# cost 1.4 s and 1.0 s; a multiplicity of -64 costs the same as 64.
+MAX_DIVISOR_WEIGHT = 64
+
 
 def frac_from_str(s, field: str = "value") -> Fraction:
     if isinstance(s, bool) or not isinstance(s, (int, str)):
@@ -141,6 +150,7 @@ def divisor_from_json(curve: HyperellipticCurve, obj,
     if not isinstance(entries, list):
         raise MalformedInputError('"affine" must be a list',
                                   field=f"{field}.affine")
+    weight = abs(inf)
     for i, entry in enumerate(entries):
         here = f"{field}.affine[{i}]"
         if not isinstance(entry, dict):
@@ -149,8 +159,15 @@ def divisor_from_json(curve: HyperellipticCurve, obj,
         if isinstance(mult, bool) or not isinstance(mult, int) or mult == 0:
             raise MalformedInputError('"mult" must be a nonzero integer',
                                       field=f"{here}.mult")
+        weight += abs(mult)
+        if weight > MAX_DIVISOR_WEIGHT:
+            break  # refused below, before any further point is read
         p = point_from_json(curve, entry, field=here)
         coeffs.append((p, mult))
+    if weight > MAX_DIVISOR_WEIGHT:
+        raise MalformedInputError(
+            f"multiplicities add up to more than {MAX_DIVISOR_WEIGHT} in "
+            "absolute value", field=field)
     D = Divisor(coeffs)
     for p, _ in D.affine_items():  # curve.point has checked y^2 = f(x)
         check_off_weierstrass(p)

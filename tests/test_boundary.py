@@ -5,8 +5,9 @@ off-curve point and a Weierstrass point itself, so the per-point kernels
 behind it (y_series, valuation, jet) need not check again.  At the JSON
 boundary, a rational with a runaway decimal exponent, a number with more
 digits than CPython converts to and from str (bare or quoted), a string
-too long to hold two such numbers, and a JSON boolean standing for a
-number exit 2 at once, naming the field.
+too long to hold two such numbers, a JSON boolean standing for a number
+and a divisor whose multiplicities weigh more than the cap exit 2 at
+once, naming the field.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from secantflow import (
 )
 from secantflow import cli
 from secantflow.errors import SecantflowError
-from secantflow.serialize import MAX_DIGITS, MAX_EXPONENT, frac_from_str
+from secantflow.serialize import (MAX_DIGITS, MAX_DIVISOR_WEIGHT,
+                                  MAX_EXPONENT, frac_from_str)
 
 CURVE = make_curve([0, 3, 0, 0, 0, 1])      # y^2 = x^5 + 3x
 GOOD, OTHER = CURVE.point(1, 2), CURVE.point(1, -2)
@@ -172,3 +174,55 @@ def test_exponent_at_the_cap_is_read():
     assert frac_from_str(f"1e{MAX_EXPONENT}") == 10 ** MAX_EXPONENT
     assert frac_from_str(f"-3e-{MAX_EXPONENT}") == Fraction(-3, 10 ** MAX_EXPONENT)
     assert frac_from_str("25e-1") == Fraction(5, 2)
+
+
+W = MAX_DIVISOR_WEIGHT
+POOL = {"points": [{"x": "0", "y": "1"}, {"x": "1", "y": "1"}]}
+OVERWEIGHT = {
+    # (subcommand and options, file flag, payload, field named); one past
+    # the cap, so without it each command would run and exit 0 or fail
+    # elsewhere within seconds
+    "rr_space_inf": (["rr-space"], "--divisor", {"inf": W + 1}, "divisor"),
+    "rr_space_mixed": (
+        ["rr-space"], "--divisor",
+        {"inf": 1 - W, "affine": [{"x": "0", "y": "1", "mult": 2}]},
+        "divisor"),
+    "secant_matrix": (
+        ["secant-matrix", "--d1", "5", "--d2", "0", "--m", "5"], "--divisor",
+        {"affine": [{"x": "0", "y": "1", "mult": 3},
+                    {"x": "1", "y": "1", "mult": W - 2}]}, "divisor"),
+    "chains_top": (
+        ["chains", "--ell", "1"], "--top",
+        {"L1": {"inf": 3}, "L2": {"inf": -2}, "M": {"inf": W + 1},
+         "phi": {"a": ["1"]}}, "M"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERWEIGHT))
+def test_overweight_divisor_exits_two_naming_the_field(tmp_path, capsys,
+                                                       case):
+    argv, flag, payload, field = OVERWEIGHT[case]
+    files = {"--curve": {"f": G2}, flag: payload, "--pool": POOL}
+    for name, obj in files.items():
+        (tmp_path / name[2:]).write_text(json.dumps(obj))
+    if argv[0] != "chains":
+        del files["--pool"]
+    args = [*argv] + [a for name in files
+                      for a in (name, str(tmp_path / name[2:]))]
+    started = time.perf_counter()
+    code = cli.main(args)
+    assert time.perf_counter() - started < 1
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"input error [cli]: {field}: multiplicities "
+                              f"add up to more than {W}"), out.err
+
+
+def test_divisor_at_the_weight_cap_is_read(tmp_path, capsys):
+    curve, divisor = tmp_path / "curve.json", tmp_path / "divisor.json"
+    curve.write_text(json.dumps({"f": G2}))
+    divisor.write_text(json.dumps(
+        {"inf": W - 1, "affine": [{"x": "0", "y": "-1", "mult": -1}]}))
+    assert cli.main(["rr-space", "--curve", str(curve),
+                     "--divisor", str(divisor)]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == W - 2

@@ -9,9 +9,11 @@ import pkgutil
 import pytest
 
 import secantflow
-from secantflow import CurvePoint, Divisor, curve, make_curve, pool_divisors
+from secantflow import (INF, CurveFunction, CurvePoint, Divisor, Poly, curve,
+                        make_critical_point, make_curve, pool_divisors,
+                        resolution)
 from secantflow.curve import validate_support
-from secantflow.errors import UnsupportedSupportError
+from secantflow.errors import MalformedInputError, UnsupportedSupportError
 
 
 def package_caches() -> dict:
@@ -39,6 +41,7 @@ def test_every_cache_has_a_finite_bound():
             "secantflow.secant.secant_plane",
             "secantflow.secant._pool_divisors",
             "secantflow.resolution._canonical_class",
+            "secantflow.resolution._validate_critical_point",
             "secantflow.resolution._continuations"} <= caches.keys()
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name
@@ -67,6 +70,27 @@ def test_failing_point_is_not_remembered():
     # a point passed on one curve is still checked on another
     with pytest.raises(UnsupportedSupportError):
         validate_support(make_curve([1, 4, 0, 0, 0, 1]), Divisor({good: 1}))
+
+
+def test_failing_critical_point_is_not_remembered():
+    g2 = make_curve([1, -1, 0, 0, 0, 1])           # y^2 = x^5 - x + 1
+    p = g2.point(0, 1)
+    L1, L2, M = Divisor({INF: 3}), Divisor({INF: -3, p: 1}), Divisor({INF: 8})
+    one = CurveFunction(g2, Poly([1]), Poly.zero())
+    pole = CurveFunction(g2, Poly([1]), Poly([1]), Poly([0, 1]))  # (1 + y)/x
+    cache = resolution._validate_critical_point
+    top = make_critical_point(g2, L1, L2, M, one)
+    hits = cache.cache_info().hits
+    make_critical_point(g2, L1, L2, M, one)
+    assert cache.cache_info().hits == hits + 1
+    size = cache.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(MalformedInputError, match="^phi: "):
+            make_critical_point(g2, L1, L2, M, pole)
+    assert cache.cache_info().currsize == size
+    # a critical point passed on one curve is still checked on another
+    with pytest.raises(UnsupportedSupportError):
+        cache(make_curve([4, 4, 0, 0, 0, 1]), top)
 
 
 def test_pool_divisors_built_once_for_list_and_tuple():

@@ -230,6 +230,21 @@ def test_downward_limit_requires_minimal_witness(curve, top, pool):
         downward_limit(curve, top, FlowLinePoint(cls, fat))
 
 
+def test_downward_limit_validates_its_top(curve):
+    # (1 + y)/x = (1 - x^4)/(1 - y) has a pole only at p = (0, 1) (simple)
+    # and at infinity (order 3, absorbed by the bundle divisor 3*inf)
+    phi = CurveFunction(curve, Poly([1]), Poly([1]), Poly([0, 1]))
+    L1, L2, M = Divisor({INF: 3}), Divisor({INF: -2}), Divisor({INF: 8})
+    with pytest.raises(MalformedInputError, match="^phi: "):
+        make_critical_point(curve, L1, L2, M, phi)
+    raw = CriticalPointData(L1, L2, M, phi, 3)
+    p = curve.point(0, 1)
+    x = FlowLinePoint(point_class(curve, raw.pair(), p), Divisor.of_point(p))
+    # the twist would gain a double zero at p and hide the pole
+    with pytest.raises(MalformedInputError, match="^phi: "):
+        downward_limit(curve, raw, x)
+
+
 # -- upward targets ----------------------------------------------------------
 
 def test_upward_targets_relists_the_used_witness(curve, top, pool):
@@ -471,6 +486,18 @@ def test_cold_dag_build_takes_one_limit_per_edge(monkeypatch, curve,
     monkeypatch.setattr(resolution, "downward_limit", counted)
     dag = chain_dag(curve, top, ell, pool)
     assert len(calls) == sum(len(steps) for steps, _ in dag.values())
+
+
+def test_cold_dag_build_validates_each_node_once(curve, criterion_7_runs):
+    top, ell, pool, _ = criterion_7_runs["budget_3"]
+    resolution._continuations.cache_clear()
+    resolution._validate_critical_point.cache_clear()
+    dag = chain_dag(curve, top, ell, pool)
+    info = resolution._validate_critical_point.cache_info()
+    edges = sum(len(steps) for steps, _ in dag.values())
+    # the top once at the query, then each node once at its first edge
+    assert info.misses == sum(1 for steps, _ in dag.values() if steps)
+    assert info.hits + info.misses == 1 + edges > 2 * info.misses
 
 
 @pytest.mark.parametrize("run", ["budget_1", "budget_2", "budget_3"])

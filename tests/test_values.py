@@ -16,8 +16,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import secantflow
+from secantflow import INF, CurvePoint, Divisor, make_curve
 
 # Builds one value of each kind; run here and again in a child process.
 VALUES_SRC = """\
@@ -97,3 +100,61 @@ def test_unpickled_values_hash_fresh_in_another_process():
                          env=env, timeout=60)
     assert res.returncode == 0, res.stderr.decode()
     assert res.stdout.decode().strip() == ""
+
+
+# -- Divisor against a plain dict --------------------------------------------
+
+G2 = make_curve([1, -1, 0, 0, 0, 1])             # y^2 = x^5 - x + 1
+POINTS = [INF] + [G2.point(x, y) for x in (0, 1, -1) for y in (1, -1)]
+COEFFS = st.dictionaries(st.sampled_from(POINTS), st.integers(-3, 3),
+                         max_size=len(POINTS))
+
+
+def ref_items(d: dict) -> tuple:
+    return tuple(sorted(((p, m) for p, m in d.items() if m),
+                        key=lambda t: t[0].sort_key()))
+
+
+def ref_repr(d: dict) -> str:
+    parts = [f"{m}*inf" if p.at_infinity else f"{m}*({p.x},{p.y})"
+             for p, m in ref_items(d)]
+    return "Divisor(" + (" + ".join(parts) or "0") + ")"
+
+
+@settings(max_examples=200, deadline=None)
+@given(COEFFS, COEFFS)
+def test_divisor_agrees_with_a_dict(a, b):
+    A, B = Divisor(a), Divisor(b)
+    keys = a.keys() | b.keys()
+    assert (A == B) == (ref_items(a) == ref_items(b))
+    assert A.items() == ref_items(a) and repr(A) == ref_repr(a)
+    assert hash(A) == hash(("Divisor", A.items()))
+    assert (A <= B) == all(a.get(p, 0) <= b.get(p, 0) for p in keys)
+    for got, want in ((A + B, {p: a.get(p, 0) + b.get(p, 0) for p in keys}),
+                      (A - B, {p: a.get(p, 0) - b.get(p, 0) for p in keys}),
+                      (A.gcd(B),
+                       {p: min(a.get(p, 0), b.get(p, 0)) for p in keys})):
+        assert got.items() == ref_items(want)
+        assert hash(got) == hash(("Divisor", ref_items(want)))
+    # copies of a divisor whose point order was never read
+    fresh = A + B
+    for other in (pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh)):
+        assert other == fresh
+        assert other.items() == fresh.items()
+        assert hash(other) == hash(fresh)
+
+
+def test_point_order_is_derived_once_on_first_use(monkeypatch):
+    calls = []
+    key = CurvePoint.sort_key
+    monkeypatch.setattr(CurvePoint, "sort_key",
+                        lambda self: calls.append(self) or key(self))
+    D = Divisor({p: i + 1 for i, p in enumerate(POINTS)})
+    E = (D + D - D).gcd(D)
+    assert E == D and E <= D and E.degree == D.degree and E.coeff(INF) == 1
+    assert calls == []          # arithmetic and equality read the dict only
+    E.items()
+    first = len(calls)
+    assert first > 0
+    hash(E), repr(E), E.items(), E.support()
+    assert len(calls) == first

@@ -202,13 +202,13 @@ OVERWEIGHT = {
 def test_overweight_divisor_exits_two_naming_the_field(tmp_path, capsys,
                                                        case):
     argv, flag, payload, field = OVERWEIGHT[case]
-    files = {"--curve": {"f": G2}, flag: payload, "--pool": POOL}
-    for name, obj in files.items():
-        (tmp_path / name[2:]).write_text(json.dumps(obj))
-    if argv[0] != "chains":
-        del files["--pool"]
-    args = [*argv] + [a for name in files
-                      for a in (name, str(tmp_path / name[2:]))]
+    for name, obj in (("curve", {"f": G2}), ("input", payload),
+                      ("pool", POOL)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    args = [*argv, "--curve", str(tmp_path / "curve.json"),
+            flag, str(tmp_path / "input.json")]
+    if argv[0] == "chains":
+        args += ["--pool", str(tmp_path / "pool.json")]
     started = time.perf_counter()
     code = cli.main(args)
     assert time.perf_counter() - started < 1

@@ -12,7 +12,9 @@ function regular outside infinity and a prescribed set of affine fibres has
 this shape with q supported on those fibres; Riemann-Roch spaces are cut
 out of such candidates by exact jet conditions at the support points and
 degree bounds at infinity, and the resulting basis is re-certified before
-it is returned.  The certificate checks the bound div(h) + D >= 0 itself,
+it is returned.  The conditions are integer rows, and the expansion of y
+they read is itself certified in integers (its square is f to the order
+used).  The certificate checks the bound div(h) + D >= 0 itself,
 not the exact valuation: at infinity by the degree formula above, and at
 an affine place p by an order threshold, namely that a + b y vanishes to
 order v_p(q) - D(p), read off the first terms of its expansion (the norm
@@ -46,7 +48,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from . import series
-from .linalg import nullspace
+from .linalg import integer_kernel
 from .errors import (
     EvenDegreeError,
     GenusTooSmallError,
@@ -114,10 +116,20 @@ class CurvePoint:
         return (1, self.x, self.y)
 
     def conjugate(self) -> CurvePoint:
-        """The hyperelliptic involution (x, y) -> (x, -y); fixes infinity."""
+        """The hyperelliptic involution (x, y) -> (x, -y); fixes infinity.
+
+        The conjugate is built once and kept, each point holding the
+        other, so lookups keyed by it find the same object."""
         if self.at_infinity:
             return self
-        return CurvePoint(False, self.x, -self.y)
+        kept = self.__dict__
+        try:
+            return kept["_conjugate"]
+        except KeyError:
+            other = CurvePoint(False, self.x, -self.y)
+            other.__dict__["_conjugate"] = self
+            kept["_conjugate"] = other
+            return other
 
     def __repr__(self) -> str:
         if self.at_infinity:
@@ -184,6 +196,33 @@ def _y_series_cached(curve: HyperellipticCurve, x0: Fraction, y0: Fraction,
                      n: int) -> tuple[Fraction, ...]:
     fa = series.shifted_poly(curve.f, x0, n)
     return tuple(series.sqrt_series(fa, y0, n))
+
+
+@lru_cache(maxsize=1024)
+def _y_numerators(curve: HyperellipticCurve, p: CurvePoint,
+                  n: int) -> tuple[tuple[int, ...], int]:
+    """The expansion of y at p = (x0, y0) to order n as integer numerators
+    Y over one positive denominator E, certified in integers: Y_0 = E y0
+    and Y^2 = E^2 f(x0 + z) mod z^n.  Keyed by the point, whose hash is
+    kept; a failed check is not kept."""
+    x0, y0 = p.x, p.y
+    ys = _y_series_cached(curve, x0, y0, n)
+    E = math.lcm(*(c.denominator for c in ys))
+    Y = tuple(c.numerator * (E // c.denominator) for c in ys)
+    shifted = curve.f.shift(x0, n)
+    fs, fd = shifted.numerators, shifted.denominator
+    fs += (0,) * (n - len(fs))
+    ok = (len(Y) == n and Y[0] * y0.denominator == E * y0.numerator
+          and all(_square_term(Y, t) * fd == E * E * fs[t] for t in range(n)))
+    invariant(ok, "y-series at (%s, %s) is not a square root of f to order %d",
+              x0, y0, n)
+    return Y, E
+
+
+def _square_term(Y: tuple[int, ...], t: int) -> int:
+    """The coefficient of z^t in (sum Y_i z^i)^2."""
+    half = sum(Y[i] * Y[t - i] for i in range((t + 1) // 2))
+    return 2 * half + (Y[t // 2] ** 2 if t % 2 == 0 else 0)
 
 
 def make_curve(coeffs: Iterable[Scalar]) -> HyperellipticCurve:
@@ -406,9 +445,9 @@ class CurveFunction:
                 g = g.gcd(b)
                 if g.degree > 0:
                     a, b, den = a // g, b // g, den // g
-        lead = den.leading()
-        if lead != 1:
-            inv = Fraction(1) / lead
+        lead = den.numerators[-1]
+        if lead != den.denominator:  # the leading coefficient is not 1
+            inv = Fraction(den.denominator, lead)
             a, b, den = a * inv, b * inv, den * inv
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "a", a)
@@ -617,11 +656,11 @@ class SectionSpace:
     basis: tuple[CurveFunction, ...]
 
 
-def _fibres(D: Divisor) -> dict[Fraction, dict[Fraction, int]]:
-    """Group affine support by x-coordinate: x0 -> {y0: mult}."""
-    out: dict[Fraction, dict[Fraction, int]] = {}
+def _fibres(D: Divisor) -> dict[Fraction, dict[CurvePoint, int]]:
+    """Group affine support by x-coordinate: x0 -> {point: mult}."""
+    out: dict[Fraction, dict[CurvePoint, int]] = {}
     for p, m in D.affine_items():
-        out.setdefault(p.x, {})[p.y] = m
+        out.setdefault(p.x, {})[p] = m
     return out
 
 
@@ -657,18 +696,16 @@ def riemann_roch_space(curve: HyperellipticCurve, D: Divisor) -> SectionSpace:
 
     # minimal denominator and required numerator vanishing per point
     q = Poly.one()
-    conditions: list[tuple[Fraction, Fraction, int]] = []  # (x0, y0, order)
-    for x0, ys in sorted(fibres.items()):
-        mults = list(ys.values())
-        e0 = max(max(mults), 0)
+    conditions: list[tuple[CurvePoint, int]] = []  # (point, order)
+    for x0, pts in sorted(fibres.items()):
+        e0 = max(max(pts.values()), 0)
         if e0:
             q = q * Poly.linear_root(x0) ** e0
-        y_ref = next(iter(ys))
-        for y0 in (y_ref, -y_ref):
-            c = ys.get(y0, 0)
-            r = e0 - c
+        p_ref = next(iter(pts))
+        for p in (p_ref, p_ref.conjugate()):
+            r = e0 - pts.get(p, 0)
             if r > 0:
-                conditions.append((x0, y0, r))
+                conditions.append((p, r))
 
     dq = q.degree
     a_max = (n_inf + 2 * dq) // 2 if n_inf + 2 * dq >= 0 else -1
@@ -679,31 +716,59 @@ def riemann_roch_space(curve: HyperellipticCurve, D: Divisor) -> SectionSpace:
     if ncand == 0:
         return SectionSpace(D, 0, ())
 
-    rows: list[list[Fraction]] = []
-    for x0, y0, r in conditions:
-        ybr = curve.y_series(x0, y0, r)
-        for t in range(r):
-            row = [Fraction(0)] * ncand
-            for i in range(na):
-                if t <= i:
-                    row[i] = Fraction(math.comb(i, t)) * x0 ** (i - t)
-            for j in range(nb):
-                acc = Fraction(0)
-                for s in range(min(j, t) + 1):
-                    acc += Fraction(math.comb(j, s)) * x0 ** (j - s) * ybr[t - s]
-                row[na + j] = acc
-            rows.append(row)
-
-    kernel = nullspace(rows, cols=ncand)
+    rows: list[list[int]] = []
+    for p, r in conditions:
+        rows += _condition_rows(curve, p, r, na, nb)
 
     basis = []
-    for v in kernel:
-        a = Poly(v[:na])
-        b = Poly(v[na:])
+    for v in integer_kernel(rows, cols=ncand):
+        lead = next(c for c in reversed(v) if c)  # its free column, > 0
+        a = Poly.from_numerators(v[:na], lead)
+        b = Poly.from_numerators(v[na:], lead)
         basis.append(CurveFunction(curve, a, b, q))
     space = SectionSpace(D, len(basis), tuple(basis))
     _certify_section_space(curve, space)
     return space
+
+
+def _condition_rows(curve: HyperellipticCurve, p: CurvePoint, r: int,
+                    na: int, nb: int) -> list[list[int]]:
+    """The r rows "a + b y vanishes to order r at p = (x0, y0)" on the
+    coefficients of a (na of them) and b (nb), in integers.
+
+    Row t holds the z^t coefficients of (x0 + z)^i and (x0 + z)^j y(z).
+    With x0 = u/v, the column of (x0 + z)^(i+1) is (u + v z) times that of
+    (x0 + z)^i over one more power of v, the recursion of the Taylor
+    passes; y(z) = Y(z) / E.  Each row is put over v^(max(na, nb) - 1) E
+    and divided by the gcd of its entries, which gives the same primitive
+    row as clearing the rational row by the lcm of its denominators.
+    """
+    Y, E = _y_numerators(curve, p, r)
+    u, v = p.x.numerator, p.x.denominator
+
+    def powers(col, count):
+        out = []
+        for _ in range(count):
+            out.append(col)
+            col = [u * col[0]] + [u * c + v * prev
+                                  for c, prev in zip(col[1:], col)]
+        return out
+
+    a_cols = powers([1] + [0] * (r - 1), na)
+    b_cols = powers(list(Y), nb)
+    top = max(na, nb) - 1
+    if v == 1:
+        a_cols = [[c * E for c in col] for col in a_cols]
+    else:
+        a_cols = [[c * E * v ** (top - i) for c in col]
+                  for i, col in enumerate(a_cols)]
+        b_cols = [[c * v ** (top - j) for c in col]
+                  for j, col in enumerate(b_cols)]
+    rows = []
+    for row in zip(*a_cols, *b_cols):
+        g = math.gcd(*row)
+        rows.append([c // g for c in row] if g > 1 else list(row))
+    return rows
 
 
 def _certify_section_space(curve: HyperellipticCurve, space: SectionSpace) -> None:
@@ -712,7 +777,9 @@ def _certify_section_space(curve: HyperellipticCurve, space: SectionSpace) -> No
     A candidate (a + b y)/q has poles only over the roots of q and at
     infinity, so checking the support of D, the conjugates of its affine
     support, and infinity is a complete certificate.  Each place checks the
-    bound itself (``_within_bound``), not the exact valuation.
+    bound itself (``_within_bound``), not the exact valuation.  At an
+    affine place every basis element reads one y-series, at the order the
+    jet conditions imposed there.
     """
     D = space.divisor
     places = {INF}
@@ -721,38 +788,61 @@ def _certify_section_space(curve: HyperellipticCurve, space: SectionSpace) -> No
         places.add(p.conjugate())
     for h in space.basis:
         invariant(not h.is_zero(), "zero function in a Riemann-Roch basis")
-        for p in places:
-            invariant(_within_bound(curve, h, p, D.coeff(p)),
+    for p in places:
+        m = D.coeff(p)
+        reach = 0 if p.at_infinity else max(m, D.coeff(p.conjugate()), 0) - m
+        for h in space.basis:
+            invariant(_within_bound(curve, h, p, m, reach),
                       "basis element %r violates the divisor bound at %r",
                       h, p)
 
 
 def _within_bound(curve: HyperellipticCurve, h: CurveFunction,
-                  p: CurvePoint, m: int) -> bool:
+                  p: CurvePoint, m: int, reach: int = 0) -> bool:
     """Whether v_p(h) + m >= 0, for a nonzero h and a place p of the curve.
 
     At infinity this is ``valuation``.  At an affine point it is an order
     threshold: the numerator a + b y is regular there, so the bound holds
     exactly when a + b y vanishes to order k = v_p(den) - m, i.e. when
-    k <= 0 or the first k terms of its expansion are 0.  The norm
-    a^2 - b^2 f, which the exact valuation needs, is never formed.
+    k <= 0 or the first k terms of its expansion are 0.  Those terms are
+    tested in integers, from the Taylor shifts of a and b and the certified
+    integer y-series; the norm a^2 - b^2 f, which the exact valuation
+    needs, is never formed.  The y-series is expanded to order
+    max(k, reach), so checks at one place can share one expansion.
     """
     if p.at_infinity:
         return valuation(curve, h, p) + m >= 0
-    k = _root_order(h.den, p.x) - m
-    return k <= 0 or not any(h.numerator_series(p.x, p.y, k))
+    k = _root_order(h.den, p) - m
+    if k <= 0:
+        return True
+    # with a(x0 + z) = A / Da, b(x0 + z) = B / Db and y = Y / E, the z^t
+    # coefficient of a + b y times Da Db E is
+    # A_t Db E + Da sum_s B_s Y_(t-s)
+    A = h.a.shift(p.x, k)
+    if h.b.is_zero():
+        return A.is_zero()
+    B = h.b.shift(p.x, k)
+    Y, E = _y_numerators(curve, p, max(k, reach))
+    an, bn = A.numerators, B.numerators
+    an += (0,) * (k - len(an))
+    scale_a, scale_b = B.denominator * E, A.denominator
+    return not any(
+        an[t] * scale_a + scale_b * sum(
+            bn[s] * Y[t - s] for s in range(min(t + 1, len(bn))))
+        for t in range(k))
 
 
 @lru_cache(maxsize=1024)
-def _root_order(den: Poly, x0: Fraction) -> int:
-    """den's root multiplicity at x0, checked against den's Taylor shift
-    truncated just past it: the coefficients below it are zero and the one
-    at it is not.  Kept per (den, x0), since the basis elements of a space
-    share their denominator and a point shares its fibre with its
-    conjugate; a check that fails is not kept and fails every time."""
+def _root_order(den: Poly, p: CurvePoint) -> int:
+    """den's root multiplicity at x0 = p.x, checked against den's Taylor
+    shift truncated just past it: the coefficients below it are zero and
+    the one at it is not.  Kept per (den, p), since the basis elements of
+    a space share their denominator; both keys keep their hash.  A check
+    that fails is not kept and fails every time."""
+    x0 = p.x
     v = den.root_multiplicity(x0)
     taylor = den.shift(x0, v + 1)
-    invariant(taylor.degree == v and not any(taylor.coeffs[:v]),
+    invariant(taylor.degree == v and not any(taylor.numerators[:v]),
               "root multiplicity %d of %r at x = %s disagrees with its "
               "Taylor shift", v, den, x0)
     return v

@@ -7,22 +7,20 @@ integer (a minor of the input) without gcd normalisation (E. H. Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22, 1968).  No pivoting heuristics are needed
 because there is no roundoff.  The right kernel is read straight off that
-elimination as primitive integer vectors (``integer_kernel``);
-``nullspace`` is its Fraction view.  These routines are deliberately small
-and boring: the test suite cross-checks each of them against an
-independent implementation.
+elimination as primitive integer vectors (``integer_kernel``), the form
+every caller uses: the Riemann-Roch basis and the secant planes' annihilators.
+These routines are deliberately small and boring: the test suite
+cross-checks each of them against an independent implementation.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import invariant
 
 Matrix = list  # list[list[Fraction]]
 Vector = list  # list[Fraction]
-_ZERO = Fraction(0)
 _INT = {int}
 
 
@@ -38,10 +36,16 @@ def rref(m: Matrix) -> tuple[list[list[int]], list[int], int]:
     at its pivot.  Each step replaces every other row a[i] by
     (pv * a[i] - a[i][c] * a[r]) // prev, an exact division (Sylvester's
     identity), with pv the new pivot and prev the one before it.
+
+    A row with a[i][c] = 0 would only be scaled by pv / prev.  Those
+    scalings telescope, so the row stays as it is and remembers the pivot
+    it was last brought to (``level``); it is brought up to date, by one
+    exact division, only when a step needs it or at the end.
     """
     a = [_integral(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
+    level = [1] * rows
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -50,21 +54,30 @@ def rref(m: Matrix) -> tuple[list[list[int]], list[int], int]:
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        top = a[r]
+        level[r], level[pr] = level[pr], level[r]
+        top, lv = a[r], level[r]
+        if lv != prev:
+            top = a[r] = [x * prev // lv for x in top]
         pv = top[c]
         for i in range(rows):
-            if i == r:
-                continue
-            f = a[i][c]
-            if f:
-                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], top)]
-            elif pv != prev:
-                a[i] = [pv * x // prev for x in a[i]]
+            row = a[i]
+            f = row[c]
+            if f and i != r:
+                lv = level[i]
+                if lv != prev:
+                    row = [x * prev // lv for x in row]
+                    f = row[c]
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+                level[i] = pv
+        level[r] = pv
         pivots.append(c)
         prev = pv
         r += 1
         if r == rows:
             break
+    for i, lv in enumerate(level):
+        if lv != prev:
+            a[i] = [x * prev // lv for x in a[i]]
     invariant(prev != 0 and all(a[i][c] == prev for i, c in enumerate(pivots)),
               "fraction-free elimination lost its common pivot %s", prev)
     return a, pivots, prev
@@ -99,20 +112,6 @@ def integer_kernel(m: Matrix, cols: int | None = None) -> list[list[int]]:
     return basis
 
 
-def nullspace(m: Matrix, cols: int | None = None) -> list[Vector]:
-    """``integer_kernel`` as Fraction vectors, each scaled to 1 at its
-    free column (its last nonzero entry)."""
-    basis = []
-    for v in integer_kernel(m, cols):
-        lead = next(x for x in reversed(v) if x)
-        basis.append([Fraction(x, lead) if x else _ZERO for x in v])
-    return basis
-
-
-def matvec(m: Matrix, v: Vector) -> Vector:
-    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m]
-
-
 def integral(v: Vector) -> list[int]:
     """v times the lcm of its denominators: integers on the same line
     through the origin, so dot products with v vanish together."""
@@ -127,30 +126,3 @@ def _integral(v: Vector) -> list[int]:
         return list(v)
     den = math.lcm(*(x.denominator for x in v))
     return [x.numerator * (den // x.denominator) for x in v]
-
-
-def augment(a: Matrix, b: Matrix) -> Matrix:
-    return [ra + rb for ra, rb in zip(a, b)]
-
-
-def column_span_intersection(a: Matrix, b: Matrix) -> list[Vector]:
-    """Basis of span(columns of a) ∩ span(columns of b).
-
-    Solves a x = b y via the kernel of [a | -b] and reads off the a x part.
-    """
-    rows = len(a)
-    if rows != len(b):
-        raise ValueError("matrices must have equal row count")
-    ca = len(a[0]) if rows and a[0] else 0
-    neg_b = [[-x for x in row] for row in b]
-    combined = augment(a, neg_b)
-    inter = []
-    for v in nullspace(combined):
-        w = matvec(a, v[:ca])
-        if any(w):
-            inter.append(w)
-    # the vectors w span the intersection; reduce to a basis
-    if not inter:
-        return []
-    pivots = rref(transpose(inter))[1]
-    return [inter[c] for c in pivots]

@@ -1,16 +1,18 @@
 """Dense univariate polynomials over the rationals.
 
-Coefficients are ``fractions.Fraction`` throughout the interface; nothing in
-here (or in any module built on top) touches floating point.  The
-representation is a trimmed tuple of coefficients in increasing degree
-order, so polynomials are immutable and hashable and can key caches; each
-polynomial computes its hash once and keeps it.
+A polynomial is held as cleared integers: a trimmed tuple of integer
+numerators in increasing degree order and one positive denominator, in
+lowest terms (the gcd of the numerators and the denominator is 1), so
+equal polynomials have equal representations.  Every operation (+, -,
+scalar and polynomial products, evaluation, the Taylor shift, root
+multiplicity, division with remainder, the gcd) runs on those integers.
+Nothing in here, or in any module built on top, touches floating point.
 
-The hot kernels (the Taylor shift, root multiplicity, the product,
-division with remainder and the gcd) run on cleared integer numerators:
-the coefficients times the lcm of their denominators.  They build a
-``Fraction`` only for each coefficient they return, so the arithmetic
-stays exact without a gcd per operation.
+``coeffs``, the coefficients as ``fractions.Fraction``s, is a view built on
+first use and kept; the interface (indexing, iteration, ``leading``,
+evaluation) still speaks in Fractions.  Polynomials are immutable and
+hashable, so they can key caches; each computes its hash once and keeps it,
+with the same value as ``hash(("Poly", coeffs))``.
 """
 
 from __future__ import annotations
@@ -33,8 +35,41 @@ def _frac(c: Scalar) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _of(nums: list[int], den: int) -> Poly:
+    """The polynomial sum nums[i] x^i / den, den nonzero: trimmed and put
+    in lowest terms with a positive denominator."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        den = 1
+    elif den != 1:
+        if den < 0:
+            nums, den = [-c for c in nums], -den
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+    return _raw(tuple(nums), den)
+
+
+def _raw(nums: tuple[int, ...], den: int) -> Poly:
+    """A Poly from numerators and a denominator already in canonical form."""
+    p = _new(Poly)
+    _set(p, "numerators", nums)
+    _set(p, "denominator", den)
+    _set(p, "_coeffs", None)
+    _set(p, "_hash", None)
+    return p
+
+
 class Poly:
     """A polynomial ``c0 + c1*x + ... + cn*x**n`` with exact coefficients.
+
+    ``numerators`` and ``denominator`` are the canonical integer form:
+    ``ci = numerators[i] / denominator``.
 
     >>> p = Poly([1, 0, 2])       # 1 + 2x^2
     >>> p(Fraction(1, 2))
@@ -43,21 +78,30 @@ class Poly:
     4
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("numerators", "denominator", "_coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = list(coeffs)
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_hash", None)
+        den = 1
+        if any(type(c) is not int for c in cs):
+            # lcm clearing of reduced fractions leaves no common factor
+            # between the numerators and den, so no gcd is needed
+            cs = [_frac(c) for c in cs]
+            den = math.lcm(*(c.denominator for c in cs))
+            cs = [c.numerator * (den // c.denominator) for c in cs]
+        _set(self, "numerators", tuple(cs))
+        _set(self, "denominator", den)
+        _set(self, "_coeffs", None)
+        _set(self, "_hash", None)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
-        # rebuilt through the constructor, so the kept hash stays behind
-        return Poly, (self.coeffs,)
+        # rebuilt from its integers, so the kept view and hash stay behind
+        return _of, (list(self.numerators), self.denominator)
 
     # -- constructors -------------------------------------------------------
 
@@ -82,22 +126,37 @@ class Poly:
         return cls((0,) * n + (c,))
 
     @classmethod
+    def from_numerators(cls, nums: Iterable[int], den: int = 1) -> Poly:
+        """sum nums[i] x^i / den, for integers nums and den != 0."""
+        return _of(list(nums), den)
+
+    @classmethod
     def linear_root(cls, x0: Scalar) -> Poly:
         """x - x0."""
-        return cls((-_frac(x0), 1))
+        x0 = _frac(x0)
+        return _raw((-x0.numerator, x0.denominator), x0.denominator)
 
     # -- basic queries -------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on first use and kept."""
+        if self._coeffs is None:
+            den = self.denominator
+            _set(self, "_coeffs", tuple(Fraction(c, den)
+                                        for c in self.numerators))
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     def __getitem__(self, n: int) -> Fraction:
-        if 0 <= n < len(self.coeffs):
+        if 0 <= n < len(self.numerators):
             return self.coeffs[n]
         return Fraction(0)
 
@@ -105,25 +164,40 @@ class Poly:
         return iter(self.coeffs)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.numerators:
             raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.numerators[-1], self.denominator)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: Poly | Scalar) -> Poly:
         if not isinstance(other, Poly):
             other = Poly.constant(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
+        xs, xd = self.numerators, self.denominator
+        ys, yd = other.numerators, other.denominator
+        if xd != yd:
+            den = xd * yd // math.gcd(xd, yd)
+            fx, fy = den // xd, den // yd
+            xs = [c * fx for c in xs] if fx != 1 else xs
+            ys = [c * fy for c in ys] if fy != 1 else ys
+        else:
+            den = xd
+        if len(xs) < len(ys):
+            xs, ys = ys, xs
+        out = list(xs)
+        for i, c in enumerate(ys):
+            out[i] += c
+        return _of(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly([-c for c in self.coeffs])
+        return _raw(tuple(-c for c in self.numerators), self.denominator)
 
     def __sub__(self, other: Poly | Scalar) -> Poly:
-        return self + (-other if isinstance(other, Poly) else Poly.constant(other).__neg__())
+        if not isinstance(other, Poly):
+            other = Poly.constant(other)
+        return self + (-other)
 
     def __rsub__(self, other: Scalar) -> Poly:
         return Poly.constant(other) - self
@@ -131,18 +205,17 @@ class Poly:
     def __mul__(self, other: Poly | Scalar) -> Poly:
         if not isinstance(other, Poly):
             c = _frac(other)
-            return Poly([a * c for a in self.coeffs])
-        if self.is_zero() or other.is_zero():
+            return _of([a * c.numerator for a in self.numerators],
+                       self.denominator * c.denominator)
+        xs, ys = self.numerators, other.numerators
+        if not xs or not ys:
             return Poly.zero()
-        xs, xden = self.integer_coeffs()
-        ys, yden = other.integer_coeffs()
         out = [0] * (len(xs) + len(ys) - 1)
         for i, a in enumerate(xs):
             if a:
                 for j, b in enumerate(ys):
                     out[i + j] += a * b
-        den = xden * yden
-        return Poly([Fraction(c, den) for c in out])
+        return _of(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -159,19 +232,18 @@ class Poly:
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         """Quotient and remainder, by integer pseudo-division of the
-        cleared numerators; one Fraction is built per output coefficient."""
+        numerators."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if len(self.coeffs) < len(other.coeffs):
+        if len(self.numerators) < len(other.numerators):
             return Poly.zero(), self
-        xs, xden = self.integer_coeffs()
-        ys, yden = other.integer_coeffs()
-        quo, rem, s = _pseudo_divmod(xs, ys)
-        # s * xs = quo * ys + rem, so self = quo * (yden / (s xden)) * other
+        quo, rem, s = _pseudo_divmod(self.numerators, other.numerators)
+        # s xs = quo ys + rem, so self = quo yden / (s xden) * other
         # + rem / (s xden)
-        scale = s * xden
-        return (Poly([Fraction(c * yden, scale) for c in quo]),
-                Poly([Fraction(c, scale) for c in rem]))
+        scale = s * self.denominator
+        yden = other.denominator
+        return (_of([c * yden for c in quo] if yden != 1 else quo, scale),
+                _of(rem, scale))
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -181,54 +253,69 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return (self.numerators == other.numerators
+                    and self.denominator == other.denominator)
         if isinstance(other, (int, Fraction)):
             return self == Poly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(("Poly", self.coeffs)))
+            # hash(Fraction(n)) == hash(n), so over denominator 1 the
+            # numerators hash like the Fraction view
+            key = self.numerators if self.denominator == 1 else self.coeffs
+            _set(self, "_hash", hash(("Poly", key)))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.numerators)
 
     # -- calculus and evaluation ---------------------------------------------
 
     def __call__(self, x0: Scalar) -> Fraction:
-        """Evaluate by Horner's rule."""
+        """Evaluate by Horner's rule on the numerators: at x0 = u/v the
+        value is sum c_i u^i v^(deg - i) / (den v^deg)."""
+        if not self.numerators:
+            return Fraction(0)
         x0 = _frac(x0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        u, v = x0.numerator, x0.denominator
+        acc, vk = 0, 1
+        if v == 1:
+            for c in reversed(self.numerators):
+                acc = acc * u + c
+        else:
+            for c in reversed(self.numerators):
+                acc = acc * u + c * vk
+                vk *= v
+            vk //= v  # v^deg
+        return Fraction(acc, self.denominator * vk)
 
     def derivative(self) -> Poly:
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _of([i * c for i, c in enumerate(self.numerators)][1:],
+                   self.denominator)
 
     def shift(self, x0: Scalar, n: int | None = None) -> Poly:
         """The polynomial ``p(x0 + z)`` as a polynomial in z (Taylor shift),
         truncated mod z^n when n is given; only n Horner passes run then."""
-        if not self.coeffs:
+        if not self.numerators:
             return self
         x0 = _frac(x0)
-        ints, den = self.integer_coeffs()
         v = x0.denominator
-        deg = len(ints) - 1
-        scale = den * v ** deg
+        passes = islice(_taylor_passes(list(self.numerators), x0.numerator, v), n)
+        if v == 1:
+            return _of(list(passes), self.denominator)
         out = []
         vk = 1
-        for t in islice(_taylor_passes(ints, x0.numerator, v), n):
-            out.append(Fraction(t * vk, scale))
+        for t in passes:
+            out.append(t * vk)
             vk *= v
-        return Poly(out)
+        return _of(out, self.denominator * v ** self.degree)
 
     def root_multiplicity(self, x0: Scalar) -> int:
         """Multiplicity of x0 as a root (0 if not a root)."""
         x0 = _frac(x0)
-        ints, _ = self.integer_coeffs()
-        for k, t in enumerate(_taylor_passes(ints, x0.numerator, x0.denominator)):
+        for k, t in enumerate(_taylor_passes(list(self.numerators),
+                                             x0.numerator, x0.denominator)):
             if t:
                 return k
         raise ZeroDivisionError("every point is a root of the zero polynomial")
@@ -238,18 +325,16 @@ class Poly:
     def monic(self) -> Poly:
         if self.is_zero():
             return self
-        lead = self.leading()
-        return Poly([c / lead for c in self.coeffs])
+        return _of(list(self.numerators), self.numerators[-1])
 
     def gcd(self, other: Poly) -> Poly:
         """Monic gcd (zero only when both are zero), by the primitive
-        remainder sequence of the cleared integer numerators (G. E.
-        Collins, "Subresultants and reduced polynomial remainder
-        sequences", J. ACM 14, 1967): each pseudo-remainder is divided by
-        its content, so no Fraction is built until the monic result."""
+        remainder sequence of the numerators (G. E. Collins, "Subresultants
+        and reduced polynomial remainder sequences", J. ACM 14, 1967): each
+        pseudo-remainder is divided by its content."""
         if self.is_zero() or other.is_zero():
             return (other if self.is_zero() else self).monic()
-        a, b = self.integer_coeffs()[0], other.integer_coeffs()[0]
+        a, b = self.numerators, other.numerators
         if len(a) < len(b):
             a, b = b, a
         a, b = _primitive(a), _primitive(b)
@@ -257,32 +342,24 @@ class Poly:
             a, b = b, _primitive(_pseudo_divmod(a, b)[1])
         if b:  # a nonzero constant remainder: the gcd is 1
             return Poly.one()
-        lead = a[-1]
-        return Poly([Fraction(c, lead) for c in a])
+        return _of(list(a), a[-1])
 
     def is_squarefree(self) -> bool:
         if self.is_zero():
             return False
         return self.gcd(self.derivative()).degree == 0
 
-    def integer_coeffs(self) -> tuple[list[int], int]:
-        """The coefficients times the lcm of their denominators, and that
-        lcm (1 for the zero polynomial)."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
-
     @property
     def coeff_bits(self) -> int:
-        """Largest bit length among the integer coefficients."""
-        return max((abs(c).bit_length() for c in self.integer_coeffs()[0]),
-                   default=0)
+        """Largest bit length among the integer numerators."""
+        return max((abs(c).bit_length() for c in self.numerators), default=0)
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
         """All rational roots with multiplicities, sorted.
 
-        Classical p/q search over divisors of the (integerized) constant and
-        leading coefficients; complete for rational roots.  Its time grows
-        like the product of the two divisor counts, so a polynomial above
+        Classical p/q search over divisors of the constant and leading
+        numerators; complete for rational roots.  Its time grows like the
+        product of the two divisor counts, so a polynomial above
         ROOT_SEARCH_MAX_BITS raises ValueError instead of searching.
         """
         if self.is_zero():
@@ -291,17 +368,14 @@ class Poly:
             raise ValueError(
                 f"coefficients above {ROOT_SEARCH_MAX_BITS} bits are outside "
                 "the rational-root search")
-        p = self
-        shift0 = 0
-        while p[0] == 0 and p.degree > 0:
-            p = Poly(p.coeffs[1:])
-            shift0 += 1
+        nums = self.numerators
+        shift0 = next(i for i, c in enumerate(nums) if c)
         roots: list[tuple[Fraction, int]] = []
         if shift0:
             roots.append((Fraction(0), shift0))
-        if p.degree > 0:
-            ints, _ = p.integer_coeffs()
-            a0, an = ints[0], ints[-1]
+        if len(nums) - shift0 > 1:
+            p = _of(list(nums[shift0:]), self.denominator)
+            a0, an = p.numerators[0], p.numerators[-1]
             seen = set()
             for pn in _divisors(abs(a0)):
                 for qn in _divisors(abs(an)):

@@ -133,8 +133,10 @@ class CriticalPointData:
 def section_order(curve: HyperellipticCurve, data: CriticalPointData,
                   p: CurvePoint) -> int:
     """Vanishing order at p of phi read as a section at this level; p is
-    infinity or a point of the curve off y = 0 (a precondition)."""
-    return valuation(curve, data.phi, p) + data.bundle_divisor().coeff(p)
+    infinity or a point of the curve off y = 0 (a precondition).  The
+    bundle divisor L2 - L1 + M is read at p alone, not built."""
+    return (valuation(curve, data.phi, p) + data.L2_rep.coeff(p)
+            - data.L1_rep.coeff(p) + data.M_rep.coeff(p))
 
 
 def _pole_fibre_points(curve: HyperellipticCurve,

@@ -20,8 +20,8 @@ Series = list  # list[Fraction], truncated
 
 def shifted_poly(p: Poly, x0, n: int) -> Series:
     """First n coefficients of p(x0 + z)."""
-    shifted = p.shift(x0, n)
-    return [shifted[i] for i in range(n)]
+    shifted = p.shift(x0, n).coeffs
+    return list(shifted) + [Fraction(0)] * (n - len(shifted))
 
 
 def add(a: Series, b: Series) -> Series:

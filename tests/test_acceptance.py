@@ -17,6 +17,7 @@ from itertools import combinations, product
 
 import pytest
 
+from linalg_helpers import column_span_intersection
 from secantflow import (
     INF,
     BundlePair,
@@ -160,7 +161,7 @@ def test_criterion_3_intersection_law():
             pl1 = secant_plane(curve, pair, D1)
             pl2 = secant_plane(curve, pair, D2)
             gcd = D1.gcd(D2)
-            inter_basis = linalg.column_span_intersection(
+            inter_basis = column_span_intersection(
                 pl1.matrix(), pl2.matrix())
             assert len(inter_basis) == gcd.degree, (D1, D2)
             inter = plane_intersection(pl1, pl2)

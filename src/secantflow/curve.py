@@ -813,7 +813,7 @@ def _within_bound(curve: HyperellipticCurve, h: CurveFunction,
     """
     if p.at_infinity:
         return valuation(curve, h, p) + m >= 0
-    k = _root_order(h.den, p) - m
+    k = _root_order(h.den, p if p.y > 0 else p.conjugate()) - m
     if k <= 0:
         return True
     # with a(x0 + z) = A / Da, b(x0 + z) = B / Db and y = Y / E, the z^t
@@ -838,8 +838,10 @@ def _root_order(den: Poly, p: CurvePoint) -> int:
     """den's root multiplicity at x0 = p.x, checked against den's Taylor
     shift truncated just past it: the coefficients below it are zero and
     the one at it is not.  Kept per (den, p), since the basis elements of
-    a space share their denominator; both keys keep their hash.  A check
-    that fails is not kept and fails every time."""
+    a space share their denominator; both keys keep their hash, and
+    callers pass the point of the fibre with y > 0, so a point and its
+    conjugate share the entry.  A check that fails is not kept and fails
+    every time."""
     x0 = p.x
     v = den.root_multiplicity(x0)
     taylor = den.shift(x0, v + 1)

@@ -116,20 +116,10 @@ class CurvePoint:
         return (1, self.x, self.y)
 
     def conjugate(self) -> CurvePoint:
-        """The hyperelliptic involution (x, y) -> (x, -y); fixes infinity.
-
-        The conjugate is built once and kept, each point holding the
-        other, so lookups keyed by it find the same object."""
+        """The hyperelliptic involution (x, y) -> (x, -y); fixes infinity."""
         if self.at_infinity:
             return self
-        kept = self.__dict__
-        try:
-            return kept["_conjugate"]
-        except KeyError:
-            other = CurvePoint(False, self.x, -self.y)
-            other.__dict__["_conjugate"] = self
-            kept["_conjugate"] = other
-            return other
+        return CurvePoint(False, self.x, -self.y)
 
     def __repr__(self) -> str:
         if self.at_infinity:
@@ -204,14 +194,15 @@ def _y_numerators(curve: HyperellipticCurve, p: CurvePoint,
     """The expansion of y at p = (x0, y0) to order n as integer numerators
     Y over one positive denominator E, certified in integers: Y_0 = E y0
     and Y^2 = E^2 f(x0 + z) mod z^n.  Keyed by the point, whose hash is
-    kept; a failed check is not kept."""
+    kept; a failed check is not kept.  It lifts the series itself, so
+    ``_y_series_cached`` serves only the Fraction callers (jets)."""
     x0, y0 = p.x, p.y
-    ys = _y_series_cached(curve, x0, y0, n)
-    E = math.lcm(*(c.denominator for c in ys))
-    Y = tuple(c.numerator * (E // c.denominator) for c in ys)
     shifted = curve.f.shift(x0, n)
     fs, fd = shifted.numerators, shifted.denominator
     fs += (0,) * (n - len(fs))
+    ys = series.sqrt_series([Fraction(c, fd) for c in fs], y0, n)
+    E = math.lcm(*(c.denominator for c in ys))
+    Y = tuple(c.numerator * (E // c.denominator) for c in ys)
     ok = (len(Y) == n and Y[0] * y0.denominator == E * y0.numerator
           and all(_square_term(Y, t) * fd == E * E * fs[t] for t in range(n)))
     invariant(ok, "y-series at (%s, %s) is not a square root of f to order %d",
@@ -740,8 +731,9 @@ def _condition_rows(curve: HyperellipticCurve, p: CurvePoint, r: int,
     With x0 = u/v, the column of (x0 + z)^(i+1) is (u + v z) times that of
     (x0 + z)^i over one more power of v, the recursion of the Taylor
     passes; y(z) = Y(z) / E.  Each row is put over v^(max(na, nb) - 1) E
-    and divided by the gcd of its entries, which gives the same primitive
-    row as clearing the rational row by the lcm of its denominators.
+    and divided by the gcd of its entries: the rational row scaled to a
+    primitive integer row.  Scaling a row leaves its kernel, so the basis,
+    unchanged.
     """
     Y, E = _y_numerators(curve, p, r)
     u, v = p.x.numerator, p.x.denominator
@@ -813,7 +805,7 @@ def _within_bound(curve: HyperellipticCurve, h: CurveFunction,
     """
     if p.at_infinity:
         return valuation(curve, h, p) + m >= 0
-    k = _root_order(h.den, p if p.y > 0 else p.conjugate()) - m
+    k = _root_order(h.den, p.x) - m
     if k <= 0:
         return True
     # with a(x0 + z) = A / Da, b(x0 + z) = B / Db and y = Y / E, the z^t
@@ -834,15 +826,12 @@ def _within_bound(curve: HyperellipticCurve, h: CurveFunction,
 
 
 @lru_cache(maxsize=1024)
-def _root_order(den: Poly, p: CurvePoint) -> int:
-    """den's root multiplicity at x0 = p.x, checked against den's Taylor
-    shift truncated just past it: the coefficients below it are zero and
-    the one at it is not.  Kept per (den, p), since the basis elements of
-    a space share their denominator; both keys keep their hash, and
-    callers pass the point of the fibre with y > 0, so a point and its
-    conjugate share the entry.  A check that fails is not kept and fails
-    every time."""
-    x0 = p.x
+def _root_order(den: Poly, x0: Fraction) -> int:
+    """den's root multiplicity at x0, checked against den's Taylor shift
+    truncated just past it: the coefficients below it are zero and the one
+    at it is not.  Kept per (den, x0), since the basis elements of a space
+    share their denominator and a point shares its fibre with its
+    conjugate; a check that fails is not kept and fails every time."""
     v = den.root_multiplicity(x0)
     taylor = den.shift(x0, v + 1)
     invariant(taylor.degree == v and not any(taylor.numerators[:v]),

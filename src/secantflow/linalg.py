@@ -36,16 +36,10 @@ def rref(m: Matrix) -> tuple[list[list[int]], list[int], int]:
     at its pivot.  Each step replaces every other row a[i] by
     (pv * a[i] - a[i][c] * a[r]) // prev, an exact division (Sylvester's
     identity), with pv the new pivot and prev the one before it.
-
-    A row with a[i][c] = 0 would only be scaled by pv / prev.  Those
-    scalings telescope, so the row stays as it is and remembers the pivot
-    it was last brought to (``level``); it is brought up to date, by one
-    exact division, only when a step needs it or at the end.
     """
     a = [_integral(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    level = [1] * rows
     pivots: list[int] = []
     prev = 1
     r = 0
@@ -54,30 +48,21 @@ def rref(m: Matrix) -> tuple[list[list[int]], list[int], int]:
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        level[r], level[pr] = level[pr], level[r]
-        top, lv = a[r], level[r]
-        if lv != prev:
-            top = a[r] = [x * prev // lv for x in top]
+        top = a[r]
         pv = top[c]
         for i in range(rows):
-            row = a[i]
-            f = row[c]
-            if f and i != r:
-                lv = level[i]
-                if lv != prev:
-                    row = [x * prev // lv for x in row]
-                    f = row[c]
-                a[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
-                level[i] = pv
-        level[r] = pv
+            if i == r:
+                continue
+            f = a[i][c]
+            if f:
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], top)]
+            elif pv != prev:
+                a[i] = [pv * x // prev for x in a[i]]
         pivots.append(c)
         prev = pv
         r += 1
         if r == rows:
             break
-    for i, lv in enumerate(level):
-        if lv != prev:
-            a[i] = [x * prev // lv for x in a[i]]
     invariant(prev != 0 and all(a[i][c] == prev for i, c in enumerate(pivots)),
               "fraction-free elimination lost its common pivot %s", prev)
     return a, pivots, prev

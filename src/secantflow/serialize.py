@@ -45,11 +45,12 @@ _TOO_LONG = 10 ** MAX_DIGITS
 # A divisor whose multiplicities add up to more than MAX_DIVISOR_WEIGHT in
 # absolute value is refused: the cost of L(D) grows steeply with the
 # multiplicity at an affine point.  On y^2 = x^5 - x + 1, L(n*(0, 1)) with
-# its h^1 takes 0.3 s at n = 50, 1.0 s at 64, 1.8 s at 70 and 15 s at 100
-# (most of it in the gcd that puts each basis element in lowest terms),
-# while L(800*inf) takes 0.15 s and L(3200*inf) 2.3 s and 115 MB
-# (CPython 3.11, 2-core x86 host).  Split over two or three points the 64
-# cost 0.9 s and 0.6 s; a multiplicity of -64 costs about the same as 64.
+# its h^1 takes 0.6 s at n = 50, 2.5 s at 64, 4.3 s at 70 and 44 s at 100
+# (most of it in the elimination's row scaling and in the gcd that puts
+# each basis element in lowest terms), while L(800*inf) takes 0.17 s and
+# L(3200*inf) 2.2 s and 118 MB (CPython 3.11, 2-core x86 host).  Split
+# over two or three points the 64 cost 1.1 s and 0.9 s; a multiplicity
+# of -64 costs about the same as 64.
 MAX_DIVISOR_WEIGHT = 64
 
 

@@ -47,12 +47,12 @@ riemann_roch_space(curve, Divisor({INF: 4, curve.point(0, 1): -1}))
 """,
     "criterion_1_y_series_square": """\
 import secantflow.curve as c
-exact = c._y_series_cached
-def perturbed(curve, x0, y0, n):
-    ys = list(exact(curve, x0, y0, n))
+exact = c.series.sqrt_series
+def perturbed(a, y0, n):
+    ys = list(exact(a, y0, n))
     ys[-1] += 1
-    return tuple(ys)
-c._y_series_cached = perturbed
+    return ys
+c.series.sqrt_series = perturbed
 curve = make_curve([1, -1, 0, 0, 0, 1])
 riemann_roch_space(curve, Divisor({INF: 6, curve.point(0, 1): -2}))
 """,

@@ -128,6 +128,14 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_secant_matrix(args) -> int:
+    # the flags build the representatives {INF: d} themselves, so they
+    # carry the weight cap a JSON divisor is held to
+    for flag in ("d1", "d2", "m"):
+        value = getattr(args, flag)
+        if abs(value) > ser.MAX_DIVISOR_WEIGHT:
+            raise MalformedInputError(
+                f"must be at most {ser.MAX_DIVISOR_WEIGHT} in absolute "
+                f"value, got {value}", field=f"--{flag}")
     curve = ser.curve_from_json(_load_json(args.curve, "curve"))
     D = ser.divisor_from_json(curve, _load_json(args.divisor, "divisor"))
     pair = BundlePair.at_infinity(args.d1, args.d2, args.m)

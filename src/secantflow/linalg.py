@@ -1,16 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions (or ints).  Everything reduces to
-one fraction-free Gauss-Jordan elimination over the integers: each row is
-cleared of denominators, then Bareiss's update keeps every entry an
-integer (a minor of the input) without gcd normalisation (E. H. Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968).  No pivoting heuristics are needed
-because there is no roundoff.  The right kernel is read straight off that
-elimination as primitive integer vectors (``integer_kernel``), the form
-every caller uses: the Riemann-Roch basis and the secant planes' annihilators.
-These routines are deliberately small and boring: the test suite
-cross-checks each of them against an independent implementation.
+Matrices are lists of rows of Fractions (or ints); each row is first
+cleared of denominators, and everything else happens in integers.  Two
+eliminations, each doing only what its caller needs:
+
+- ``rank`` runs a forward fraction-free elimination, dividing each
+  updated row by its content, and counts the pivots: no back
+  substitution, no reduced form.
+- ``rref`` is the full fraction-free Gauss-Jordan elimination, whose
+  Bareiss update keeps every entry an integer (a minor of the input)
+  without gcd normalisation (E. H. Bareiss, "Sylvester's identity and
+  multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+  1968).  The right kernel is read straight off it as primitive integer
+  vectors (``integer_kernel``): the Riemann-Roch basis uses it, and the
+  secant planes' annihilators are defined as equal to it.
+
+No pivoting heuristics are needed because there is no roundoff.  These
+routines are deliberately small and boring: the test suite cross-checks
+each of them against an independent implementation.
 """
 
 from __future__ import annotations
@@ -69,7 +76,35 @@ def rref(m: Matrix) -> tuple[list[list[int]], list[int], int]:
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    """Rank of m by forward elimination on its shorter side.
+
+    Each row below a pivot with a nonzero entry in the pivot column is
+    replaced by pv * row - f * top and divided by its content; a row
+    with a zero there is left as it is, since scaling a row never
+    changes the rank.
+    """
+    a = [_integral(row) for row in m]
+    if a and len(a) > len(a[0]):
+        a = transpose(a)
+    rows = len(a)
+    r = 0
+    for c in range(len(a[0]) if rows else 0):
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        top = a[r]
+        pv = top[c]
+        for i in range(r + 1, rows):
+            f = a[i][c]
+            if f:
+                row = [pv * x - f * y for x, y in zip(a[i], top)]
+                g = math.gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
+        r += 1
+        if r == rows:
+            break
+    return r
 
 
 def integer_kernel(m: Matrix, cols: int | None = None) -> list[list[int]]:
@@ -104,10 +139,12 @@ def integral(v: Vector) -> list[int]:
 
 
 def _integral(v: Vector) -> list[int]:
-    # rref clears its rows through this private name, so per-call
-    # instrumentation of the public functions (perfbench/tracer.py)
-    # records one rref span, not one more per row.
+    # rank and rref clear their rows through this private name, so
+    # per-call instrumentation of the public functions (perfbench/tracer.py)
+    # records one span per elimination, not one more per row.
     if set(map(type, v)) == _INT:  # already cleared: annihilators, columns
         return list(v)
     den = math.lcm(*(x.denominator for x in v))
+    if den == 1:
+        return [x.numerator for x in v]
     return [x.numerator * (den // x.denominator) for x in v]

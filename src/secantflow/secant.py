@@ -11,12 +11,17 @@ same block, so ranks computed from jets are the ones the geometry dictates.
 Each point's jets are computed once per pair, up to order d1 - d2 - 2,
 the most any witness inside the degree bound needs, and kept both as
 Fractions and cleared to integers column by column; a witness reads its
-columns off those blocks.  One integer elimination of the columns then
-gives both the rank law (rank = n - kernel dimension must be deg D) and
-the plane's annihilator, the integer rows spanning the jet matrix's left
-kernel.  Every other query goes through the annihilator: a class lies on
-the plane when it pairs to zero with every row, and two planes meet in
-dimension n - rank of their stacked annihilators.  The degree bound
+columns off those blocks.  Every query goes through a plane's
+annihilator, the primitive integer rows spanning the jet matrix's left
+kernel: a class lies on the plane when it pairs to zero with every row,
+and two planes meet in dimension n - rank of their stacked annihilators.
+The planes are nested, the plane of D inside the plane of D + p (the
+flag behind Bertram's resolution of secant varieties: A. Bertram,
+"Moduli of rank-2 vector bundles, theta divisors, and the geometry of
+curves in projective space", J. Diff. Geom. 35, 1992), so no plane
+eliminates its columns: its annihilator is its parent's after one exact
+rank-one update by the one column the parent lacks, and the same update
+checks the rank law (rank = deg D).  The degree bound
 deg D < d1 - d2 keeps every jet matrix of full rank N; within it, for
 deg lcm(D1, D2) < d1 - d2, two planes meet exactly in the plane of the
 pointwise gcd of their witnesses.  Both facts are verified per instance,
@@ -25,6 +30,7 @@ in integers, never assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -139,8 +145,10 @@ class SecantPlane:
     the matrix's left kernel, n - N of them: by duality the sections of the
     twist vanishing on the witness, so a class lies on the plane exactly
     when every row pairs to zero with it.  The annihilator comes from the
-    same elimination that checked the rank law when the plane was built.
-    Equality and hashing look at the ambient, the witness and ``span``.
+    same rank-one update of the parent plane's that checked the rank law
+    when the plane was built, and equals ``linalg.integer_kernel`` of the
+    columns row for row.  Equality and hashing look at the ambient, the
+    witness and ``span``.
     """
 
     curve: HyperellipticCurve
@@ -277,11 +285,16 @@ def secant_plane(curve: HyperellipticCurve, pair: BundlePair,
 
     Raises BoundViolationError outside the degree bound and
     DegenerateRankError if the matrix fails to have rank deg D inside it
-    (which the degree bound rules out; it is checked anyway).  One
-    integer kernel of the jet columns decides the rank, n minus its
-    dimension, and is kept as the plane's annihilator.  A plane is built
-    and checked once per (curve, pair, D) and then shared; a call that
-    raises is not remembered, so bad input raises every time.
+    (which the degree bound rules out; it is checked anyway).  The plane
+    of D contains the plane of its parent, D less one multiplicity of its
+    last point, whose columns are D's columns but the last one; the
+    annihilator is the parent's, updated by that column (see
+    ``_annihilator_update``), and the parent of a single point is the
+    zero divisor, annihilated by the unit basis.  The parent certified
+    its own rank law, so rank deg D holds exactly when the new column
+    pairs to nonzero with some parent row.  A plane is built and checked
+    once per (curve, pair, D) and then shared; a call that raises is not
+    remembered, so bad input raises every time.
     """
     if D.degree >= pair.delta:
         raise BoundViolationError(
@@ -289,13 +302,47 @@ def secant_plane(curve: HyperellipticCurve, pair: BundlePair,
     _validate_witness(curve, D)
     cols, ints = _witness_columns(curve, pair, D)
     n = len(cols[0])
-    kernel = linalg.integer_kernel(ints)
-    r = n - len(kernel)
-    if r != D.degree:
-        raise DegenerateRankError(
-            f"jet matrix of {D!r} has rank {r}, expected {D.degree}")
+    parent = D - Divisor.of_point(D.items()[-1][0])
+    if parent.is_zero():
+        rows = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    else:
+        rows = secant_plane(curve, pair, parent).annihilator
+    annihilator = _annihilator_update(rows, ints[-1])
+    if annihilator is None:
+        raise DegenerateRankError(f"jet matrix of {D!r} has rank "
+                                  f"{D.degree - 1}, expected {D.degree}")
     return SecantPlane(curve, pair, D, tuple(zip(*cols)), tuple(ints),
-                       tuple(map(tuple, kernel)))
+                       annihilator)
+
+
+def _annihilator_update(rows, w):
+    """The rows of ``integer_kernel`` of a matrix with one more row w,
+    given ``rows``, the matrix's own: None when w pairs to zero with
+    every row (w adds no rank).
+
+    With s_i = rows[i] . w and k the first i where s_i != 0, the new rows
+    are s_k * rows[i] - s_i * rows[k] for i != k, each divided by its
+    content signed like s_k.  The rows are ordered by free column, each
+    positive at its own and zero at the others, so k's free column is the
+    new pivot and every other row keeps its free column and its sign:
+    the rows come out exactly as ``integer_kernel`` gives them.  A row
+    with s_i = 0 is primitive already and stays as it is.
+    """
+    s = [sum(map(mul, row, w)) for row in rows]
+    k = next((i for i, x in enumerate(s) if x), None)
+    if k is None:
+        return None
+    sk, top = s[k], rows[k]
+    out = []
+    for i, (row, si) in enumerate(zip(rows, s)):
+        if i == k:
+            continue
+        if si:
+            v = [sk * x - si * y for x, y in zip(row, top)]
+            g = math.gcd(*v) if sk > 0 else -math.gcd(*v)
+            row = tuple(x // g for x in v)
+        out.append(row)
+    return tuple(out)
 
 
 def plane_membership(e: DualClass, plane: SecantPlane) -> bool:

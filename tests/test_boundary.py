@@ -7,7 +7,8 @@ boundary, a rational with a runaway decimal exponent, a number with more
 digits than CPython converts to and from str (bare or quoted), a string
 too long to hold two such numbers, a JSON boolean standing for a number
 and a divisor whose multiplicities weigh more than the cap exit 2 at
-once, naming the field.
+once, naming the field; so do ``secant-matrix``'s degree flags above the
+same cap, naming the flag.
 """
 
 from __future__ import annotations
@@ -226,3 +227,47 @@ def test_divisor_at_the_weight_cap_is_read(tmp_path, capsys):
     assert cli.main(["rr-space", "--curve", str(curve),
                      "--divisor", str(divisor)]) == 0
     assert json.loads(capsys.readouterr().out)["degree"] == W - 2
+
+
+# secant-matrix builds its representatives {INF: d} from --d1, --d2 and
+# --m, so each flag is held to the divisor weight cap; d1 - d2 <= m then
+# bounds d1 - d2, the jet order, by the cap too
+PAST_THE_CAP = {
+    "d1": ("--d1", [W + 1, 0, W]),
+    "d2": ("--d2", [0, -W - 1, W]),
+    "m": ("--m", [5, 0, W + 1]),
+}
+
+
+def _secant_matrix(tmp_path, d1, d2, m):
+    curve, divisor = tmp_path / "curve.json", tmp_path / "divisor.json"
+    curve.write_text(json.dumps({"f": G2}))
+    divisor.write_text(json.dumps(
+        {"affine": [{"x": "0", "y": "1", "mult": 2},
+                    {"x": "1", "y": "1", "mult": 1}]}))
+    return cli.main(["secant-matrix", "--curve", str(curve),
+                     "--divisor", str(divisor), "--d1", str(d1),
+                     "--d2", str(d2), "--m", str(m)])
+
+
+@pytest.mark.parametrize("case", sorted(PAST_THE_CAP))
+def test_secant_matrix_flag_past_the_cap_exits_two(tmp_path, capsys, case):
+    flag, (d1, d2, m) = PAST_THE_CAP[case]
+    started = time.perf_counter()
+    code = _secant_matrix(tmp_path, d1, d2, m)
+    assert time.perf_counter() - started < 1
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"input error [cli]: {flag}: must be at most "
+                              f"{W} in absolute value"), out.err
+
+
+def test_secant_matrix_flags_at_the_cap_are_read(tmp_path, capsys):
+    assert _secant_matrix(tmp_path, W, 0, W) == 0
+    out = json.loads(capsys.readouterr().out)
+    # the twist space has dimension g - 1 + (d1 - d2): W + 1 rows here,
+    # and 2 at d1 - d2 = 1, which bounds the rank of the 3 columns
+    assert out["rank"] == 3 and len(out["matrix"]) == W + 1
+    assert _secant_matrix(tmp_path, 1 - W, -W, W) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["rank"] == 2 and len(out["matrix"]) == 2

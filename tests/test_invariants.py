@@ -105,13 +105,16 @@ secant_plane(curve, pair, Divisor.of_point(p))
 # case -> (code, what the message names)
 IDENTITY_CASES = {
     "criterion_2_rank_law": ("""\
-import secantflow.linalg as la
+import secantflow.secant as s
 curve = make_curve([1, -1, 0, 0, 0, 1])
 pair = BundlePair.at_infinity(5, 0, 5)
-twist_section_space(curve, pair)  # its kernel is built before the patch
-la.integer_kernel = lambda m, cols=None: [[0] * len(m[0])] * len(m[0])
-secant_plane(curve, pair, Divisor.of_point(curve.point(0, 1)))
-""", "has rank 0, expected 1"),
+D = Divisor.of_point(curve.point(0, 1)) + Divisor.of_point(curve.point(1, 1))
+first, block = D.items()[0][0], s._jet_block
+# every point reads the first point's jets: the last column repeats
+s._jet_block = lambda curve, pair, point, order: block(curve, pair, first,
+                                                       order)
+secant_plane(curve, pair, D)
+""", "has rank 1, expected 2"),
     "criterion_3_intersection_dimension": (PLANES + """\
 la.rank = lambda m: len(m)
 plane_intersection(pl1, pl2)

@@ -85,10 +85,31 @@ def test_rref_concrete(m):
     assert_rref_matches_sympy([[Fraction(x) for x in row] for row in m])
 
 
-@given(matrices())
-@settings(max_examples=120, deadline=None)
+@given(st.one_of(matrices(), jet_shaped(), jet_shaped().map(
+    lambda m: [[int(x * 6) for x in row] for row in m])))
+@settings(max_examples=200, deadline=None)
 def test_rank_matches_sympy(m):
     assert linalg.rank(m) == to_sympy(m).rank()
+    assert linalg.rank(linalg.transpose(m)) == linalg.rank(m)
+
+
+@pytest.mark.parametrize("m", [
+    [[1, 2], [3, 4], [5, 6], [7, 9]],                   # tall
+    [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]],         # wide
+    [[1, 2, 3], [2, 4, 6], [3, 6, 9], [1, 0, 1]],       # deficient
+    [[0, 0, 0], [1, 2, 3], [0, 0, 0]],                  # zero rows
+    [[0, 1, 0], [0, 2, 5], [0, 3, 1], [0, 4, 0]],       # zero column
+    [[0, 0], [0, 0]],
+    [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1],
+     [Fraction(-5, 7), Fraction(-10, 21)]],             # Fractions
+    [[Fraction(2), 4], [1, 2]],                         # whole Fractions
+    [[], []],                                           # no columns
+    [],                                                 # no rows
+], ids=["tall", "wide", "deficient", "zero-rows", "zero-column", "zero",
+        "fractions", "whole-fractions", "no-columns", "empty"])
+def test_rank_concrete(m):
+    assert linalg.rank(m) == to_sympy(m).rank()
+    assert linalg.rank(linalg.transpose(m)) == linalg.rank(m)
 
 
 @given(matrices())

@@ -242,14 +242,16 @@ def test_intersection_requires_same_ambient(g2, pts):
 # -- the identity checks can fail -------------------------------------------
 
 def test_rank_law_failure_raises(monkeypatch, g2, pair, pts):
-    twist_section_space(g2, pair)  # its kernel is built before the patch
-    # the plane's one elimination reports a kernel as wide as the ambient
-    monkeypatch.setattr(linalg, "integer_kernel",
-                        lambda m, cols=None: [[0] * len(m[0])] * len(m[0]))
-    with pytest.raises(DegenerateRankError, match="rank 0, expected 2"):
+    D = Divisor.of_point(pts["p"]) + Divisor.of_point(pts["q"])
+    first = D.items()[0][0]
+    block = secant._jet_block
+    # every point reads the first point's jets, so D's last column repeats
+    # the one before it; the parent, the first point, keeps its own plane
+    monkeypatch.setattr(secant, "_jet_block", lambda curve, pair, point,
+                        order: block(curve, pair, first, order))
+    with pytest.raises(DegenerateRankError, match="rank 1, expected 2"):
         # past the plane cache, so the check runs on this call
-        secant_plane.__wrapped__(
-            g2, pair, Divisor.of_point(pts["p"]) + Divisor.of_point(pts["q"]))
+        secant_plane.__wrapped__(g2, pair, D)
 
 
 def _planes_through_p(g2, pair, pts):
@@ -506,7 +508,7 @@ def test_intersection_past_the_lcm_bound_is_refused():
             plane_intersection(pl2, pl1)
 
 
-# -- one jet block per (pair, point), one elimination per plane --------------
+# -- one jet block per (pair, point), one update per plane -------------------
 
 ORACLE_POINTS = [ORACLE_CURVE.point(x, y)
                  for x in (0, 1, -1, 2, -2) for y in (1, -1)]
@@ -553,6 +555,31 @@ def test_jet_blocks_slice_and_clear_exactly(data):
         linalg.transpose(plane.span))))
     assert [list(c) for c in plane.columns] == [
         linalg.integral(col) for col in zip(*plane.span)]
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_annihilator_update_matches_integer_kernel(data):
+    # planes built in shuffled order from a cleared cache, so a parent is
+    # sometimes built on demand by its child and sometimes first
+    curve = ORACLE_CURVE
+    pool = [ORACLE_POINTS[i] for i in data.draw(st.lists(
+        st.integers(0, len(ORACLE_POINTS) - 1), min_size=4, max_size=6,
+        unique=True))]
+    delta = data.draw(st.integers(5, 7))
+    make_l1 = data.draw(st.sampled_from(_l1_styles(pool[0], pool[1])))
+    pair = BundlePair(delta, 0, delta, make_l1(delta), Divisor.zero(),
+                      Divisor({INF: delta}))
+    n = twist_section_space(curve, pair).dim
+    witnesses = [Divisor([(p, 1) for p in data.draw(st.lists(
+        st.sampled_from(pool), min_size=N, max_size=N))])
+        for N in range(1, delta) for _ in range(2)]
+    secant_plane.cache_clear()
+    for D in data.draw(st.permutations(witnesses)):
+        plane = secant_plane(curve, pair, D)
+        assert plane.annihilator == tuple(map(tuple, linalg.integer_kernel(
+            [list(c) for c in plane.columns])))
+        assert len(plane.annihilator) == n - D.degree
 
 
 @pytest.mark.parametrize("style", range(3))

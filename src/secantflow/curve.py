@@ -12,9 +12,11 @@ function regular outside infinity and a prescribed set of affine fibres has
 this shape with q supported on those fibres; Riemann-Roch spaces are cut
 out of such candidates by exact jet conditions at the support points and
 degree bounds at infinity, and the resulting basis is re-certified before
-it is returned.  The conditions are integer rows, and the expansion of y
-they read is itself certified in integers (its square is f to the order
-used).  The certificate checks the bound div(h) + D >= 0 itself,
+it is returned.  Every local computation at an affine point (the integer
+condition rows, the certificate, ``jet``, ``valuation``) reads one
+expansion of y, integers over one denominator certified against y^2 = f
+to the order used, and expands a + b y on it in integers.  The
+certificate checks the bound div(h) + D >= 0 itself,
 not the exact valuation: at infinity by the degree formula above, and at
 an affine place p by an order threshold, namely that a + b y vanishes to
 order v_p(q) - D(p), read off the first terms of its expansion (the norm
@@ -172,30 +174,29 @@ class HyperellipticCurve:
         return Divisor({INF: 2 * self.genus - 2})
 
     def y_series(self, x0: Scalar, y0: Scalar, n: int) -> list[Fraction]:
-        """Expansion of y in z = x - x0 at a curve point (x0, y0), y0 != 0."""
+        """Expansion of y in z = x - x0 at a curve point (x0, y0), y0 != 0,
+        to order n >= 0: the Fraction view of the certified integer one."""
+        if n < 0:
+            raise ValueError(f"y-series order must be >= 0, got n = {n}")
         x0, y0 = _frac(x0), _frac(y0)
         if y0 == 0:
             raise WeierstrassPointError(
                 f"x = {x0} is a Weierstrass point; z = x - x0 is not a local "
                 "parameter for y there")
-        return list(_y_series_cached(self, x0, y0, n))
+        if n == 0:
+            return []
+        Y, E = _y_series_cached(self, CurvePoint.affine(x0, y0), n)
+        return [Fraction(c, E) for c in Y]
 
 
 @lru_cache(maxsize=1024)
-def _y_series_cached(curve: HyperellipticCurve, x0: Fraction, y0: Fraction,
-                     n: int) -> tuple[Fraction, ...]:
-    fa = series.shifted_poly(curve.f, x0, n)
-    return tuple(series.sqrt_series(fa, y0, n))
-
-
-@lru_cache(maxsize=1024)
-def _y_numerators(curve: HyperellipticCurve, p: CurvePoint,
-                  n: int) -> tuple[tuple[int, ...], int]:
-    """The expansion of y at p = (x0, y0) to order n as integer numerators
-    Y over one positive denominator E, certified in integers: Y_0 = E y0
-    and Y^2 = E^2 f(x0 + z) mod z^n.  Keyed by the point, whose hash is
-    kept; a failed check is not kept.  It lifts the series itself, so
-    ``_y_series_cached`` serves only the Fraction callers (jets)."""
+def _y_series_cached(curve: HyperellipticCurve, p: CurvePoint,
+                     n: int) -> tuple[tuple[int, ...], int]:
+    """The expansion of y at p = (x0, y0) to order n >= 1 as integer
+    numerators Y over one positive denominator E, certified in integers:
+    Y_0 = E y0 and Y^2 = E^2 f(x0 + z) mod z^n.  Keyed by the point, whose
+    hash is kept; a failed check is not kept.  Every expansion at a point
+    (jets, valuations, the Riemann-Roch rows and certificate) reads it."""
     x0, y0 = p.x, p.y
     shifted = curve.f.shift(x0, n)
     fs, fd = shifted.numerators, shifted.denominator
@@ -204,16 +205,11 @@ def _y_numerators(curve: HyperellipticCurve, p: CurvePoint,
     E = math.lcm(*(c.denominator for c in ys))
     Y = tuple(c.numerator * (E // c.denominator) for c in ys)
     ok = (len(Y) == n and Y[0] * y0.denominator == E * y0.numerator
-          and all(_square_term(Y, t) * fd == E * E * fs[t] for t in range(n)))
+          and all(sum(Y[i] * Y[t - i] for i in range(t + 1)) * fd
+                  == E * E * fs[t] for t in range(n)))
     invariant(ok, "y-series at (%s, %s) is not a square root of f to order %d",
               x0, y0, n)
     return Y, E
-
-
-def _square_term(Y: tuple[int, ...], t: int) -> int:
-    """The coefficient of z^t in (sum Y_i z^i)^2."""
-    half = sum(Y[i] * Y[t - i] for i in range((t + 1) // 2))
-    return 2 * half + (Y[t // 2] ** 2 if t % 2 == 0 else 0)
 
 
 def make_curve(coeffs: Iterable[Scalar]) -> HyperellipticCurve:
@@ -541,15 +537,29 @@ class CurveFunction:
             return f"CurveFunction({num})"
         return f"CurveFunction(({num}) / ({self.den!r}))"
 
-    # -- local data ---------------------------------------------------------
 
-    def numerator_series(self, x0: Fraction, y0: Fraction, n: int) -> list[Fraction]:
-        """Expansion of a + b y at (x0, y0) in z = x - x0, to order n."""
-        out = series.shifted_poly(self.a, x0, n)
-        if not self.b.is_zero():
-            ybr = self.curve.y_series(x0, y0, n)
-            out = series.add(out, series.mul(series.shifted_poly(self.b, x0, n), ybr, n))
-        return out[:n] + [Fraction(0)] * max(0, n - len(out))
+def _numerator_expansion(curve: HyperellipticCurve, h: CurveFunction,
+                         p: CurvePoint, n: int,
+                         reach: int = 0) -> tuple[list[int], int]:
+    """a + b y at an affine point p of the curve in z = x - x0, to order
+    n >= 1, as integer numerators N over one positive denominator S.
+
+    With a(x0 + z) = A / Da, b(x0 + z) = B / Db and y = Y / E, the term
+    N_t = A_t Db E + Da sum_s B_s Y_(t-s) is over S = Da Db E (over Da when
+    b = 0, which reads no y).  y is expanded to order max(n, reach), so
+    checks at one place can share one y entry.
+    """
+    A = h.a.shift(p.x, n)
+    an = A.numerators + (0,) * (n - len(A.numerators))
+    if h.b.is_zero():
+        return list(an), A.denominator
+    B = h.b.shift(p.x, n)
+    Y, E = _y_series_cached(curve, p, max(n, reach))
+    bn = B.numerators
+    scale_a, scale_b = B.denominator * E, A.denominator
+    return [an[t] * scale_a + scale_b * sum(
+        bn[s] * Y[t - s] for s in range(min(t + 1, len(bn))))
+        for t in range(n)], A.denominator * B.denominator * E
 
 
 def valuation(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint) -> int:
@@ -575,8 +585,8 @@ def valuation(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint) -> int
         # a^2 = b^2 f with f squarefree of odd degree forces a = b = 0
         raise ZeroSectionError("degenerate representation of the zero function")
     bound = norm.root_multiplicity(p.x)
-    num = h.numerator_series(p.x, p.y, bound + 1)
-    v_num = series.valuation(num)
+    N, _ = _numerator_expansion(curve, h, p, bound + 1)
+    v_num = next((t for t, c in enumerate(N) if c), None)
     invariant(v_num is not None, "norm bound must expose the numerator valuation")
     return v_num - h.den.root_multiplicity(p.x)
 
@@ -608,8 +618,13 @@ def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
         order: int) -> JetVector:
     """Jet of h at an affine point to the given order (inclusive).
 
-    p must be a point of the curve (a precondition).  Raises WeierstrassPointError at y = 0 or infinity (where z = x - x0 is
-    not a parameter), PoleAtPointError when h is not regular at p.
+    p must be a point of the curve (a precondition).  Raises
+    WeierstrassPointError at y = 0 or infinity (where z = x - x0 is not a
+    parameter), PoleAtPointError when h is not regular at p.
+
+    It divides the integer expansion N / S of a + b y by den(x0 + z) =
+    Q / Qd, which vanishes to order v: N's first v terms must be 0, and
+    q_0 c_t = N_(v+t) Qd / S - sum_(i>=1) q_i c_(t-i) with q_i = Q_(v+i).
     """
     if order < 0:
         raise ValueError("jet order must be >= 0")
@@ -618,19 +633,19 @@ def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
     if p.y == 0:
         raise WeierstrassPointError(
             f"jets at the Weierstrass point x = {p.x} are not supported")
-    if h.is_zero():
-        return JetVector(p, order, tuple([Fraction(0)] * (order + 1)))
-    if h.den.degree == 0:  # den is monic, so it is 1: no division
-        vals = h.numerator_series(p.x, p.y, order + 1)
-        return JetVector(p, order, tuple(vals))
-    v_den = h.den.root_multiplicity(p.x)
-    n = order + 1 + v_den
-    num = h.numerator_series(p.x, p.y, n)
-    den = series.shifted_poly(h.den, p.x, n)
-    try:
-        vals = series.divide(num, den, order + 1)
-    except ZeroDivisionError as exc:
-        raise PoleAtPointError(f"pole at {p!r}: {exc}") from exc
+    v = h.den.root_multiplicity(p.x) if h.den.degree else 0
+    N, S = _numerator_expansion(curve, h, p, order + 1 + v)
+    if any(N[:v]):
+        raise PoleAtPointError(
+            f"pole at {p!r}: the numerator vanishes to order below {v}")
+    Q = h.den.shift(p.x, order + 1 + v)
+    q, Qd = Q.numerators[v:], Q.denominator
+    vals = []
+    for t in range(order + 1):
+        acc = Fraction(N[v + t] * Qd, S)
+        for i in range(1, min(t + 1, len(q))):
+            acc -= q[i] * vals[t - i]
+        vals.append(acc / q[0])
     return JetVector(p, order, tuple(vals))
 
 
@@ -735,7 +750,7 @@ def _condition_rows(curve: HyperellipticCurve, p: CurvePoint, r: int,
     primitive integer row.  Scaling a row leaves its kernel, so the basis,
     unchanged.
     """
-    Y, E = _y_numerators(curve, p, r)
+    Y, E = _y_series_cached(curve, p, r)
     u, v = p.x.numerator, p.x.denominator
 
     def powers(col, count):
@@ -797,32 +812,16 @@ def _within_bound(curve: HyperellipticCurve, h: CurveFunction,
     At infinity this is ``valuation``.  At an affine point it is an order
     threshold: the numerator a + b y is regular there, so the bound holds
     exactly when a + b y vanishes to order k = v_p(den) - m, i.e. when
-    k <= 0 or the first k terms of its expansion are 0.  Those terms are
-    tested in integers, from the Taylor shifts of a and b and the certified
-    integer y-series; the norm a^2 - b^2 f, which the exact valuation
-    needs, is never formed.  The y-series is expanded to order
-    max(k, reach), so checks at one place can share one expansion.
+    k <= 0 or the first k terms of its integer expansion are 0; the norm
+    a^2 - b^2 f, which the exact valuation needs, is never formed.
     """
     if p.at_infinity:
         return valuation(curve, h, p) + m >= 0
     k = _root_order(h.den, p.x) - m
     if k <= 0:
         return True
-    # with a(x0 + z) = A / Da, b(x0 + z) = B / Db and y = Y / E, the z^t
-    # coefficient of a + b y times Da Db E is
-    # A_t Db E + Da sum_s B_s Y_(t-s)
-    A = h.a.shift(p.x, k)
-    if h.b.is_zero():
-        return A.is_zero()
-    B = h.b.shift(p.x, k)
-    Y, E = _y_numerators(curve, p, max(k, reach))
-    an, bn = A.numerators, B.numerators
-    an += (0,) * (k - len(an))
-    scale_a, scale_b = B.denominator * E, A.denominator
-    return not any(
-        an[t] * scale_a + scale_b * sum(
-            bn[s] * Y[t - s] for s in range(min(t + 1, len(bn))))
-        for t in range(k))
+    N, _ = _numerator_expansion(curve, h, p, k, reach)
+    return not any(N)
 
 
 @lru_cache(maxsize=1024)

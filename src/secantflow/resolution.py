@@ -309,26 +309,24 @@ def with_phases(chain: ChainRecord, phases) -> ChainRecord:
 @lru_cache(maxsize=1024)
 def _canonical_class(curve: HyperellipticCurve, pair: BundlePair,
                      D: Divisor, pool: tuple) -> DualClass:
-    """A deterministic class whose minimal pool witness is exactly D.
+    """The class whose minimal pool witness is exactly D: the plain sum of
+    the columns of D's jet matrix.
 
-    Weighted column sums of the jet matrix with weights t^j; the first t
-    whose class passes the stratum test is taken.  The test is the
-    membership search itself, so minimality is verified, not assumed.
+    A chain step has 2 deg D < delta, so for a pool divisor D'' of degree
+    at most deg D the gcd identity applies to lcm(D, D''): were the sum on
+    plane(D''), it would lie on plane(gcd(D, D'')), spanned by a proper
+    subset of D's columns, against the rank law (its coordinates in D's
+    columns are unique, and all of them are 1).  The stratum search checks
+    this, so minimality is verified, not assumed.
     """
-    plane = secant_plane(curve, pair, D)
-    mat = plane.matrix()
     N = D.degree
-    for t in range(1, 51):
-        coords = tuple(sum(mat[i][j] * t ** j for j in range(N))
-                       for i in range(len(mat)))
-        if not any(coords):
-            continue
-        cand = DualClass(coords)
-        res = stratum_search(curve, pair, cand, pool, N)
-        if res is not None and res.N == N and D in res.witnesses:
-            return cand
-    raise DegenerateRankError(
-        f"no class with minimal witness {D!r} found on its plane")
+    plane = secant_plane(curve, pair, D)
+    e = DualClass(tuple(sum(row) for row in plane.span))
+    res = stratum_search(curve, pair, e, pool, N)
+    if res is None or res.N != N or D not in res.witnesses:
+        raise DegenerateRankError(
+            f"{D!r} is not a minimal witness of its plane's column sum")
+    return e
 
 
 @lru_cache(maxsize=256)

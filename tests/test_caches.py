@@ -34,7 +34,6 @@ def package_caches() -> dict:
 def test_every_cache_has_a_finite_bound():
     caches = package_caches()
     assert {"secantflow.curve._y_series_cached",
-            "secantflow.curve._y_numerators",
             "secantflow.curve._check_point",
             "secantflow.curve._root_order",
             "secantflow.secant.twist_section_space",

@@ -261,6 +261,14 @@ def test_rr_class_invariance(g2):
 
 # -- jets and orders --------------------------------------------------------
 
+def test_y_series_order_zero_and_negative():
+    curve = make_curve([1, -1, 0, 0, 0, 1])  # y^2 = x^5 - x + 1
+    assert curve.y_series(0, 1, 0) == []
+    assert curve.y_series(0, 1, 3) == [1, Fraction(-1, 2), Fraction(-1, 8)]
+    with pytest.raises(ValueError, match="n = -1"):
+        curve.y_series(0, 1, -1)
+
+
 def test_jet_constant(g2):
     p = g2.point(0, 2)
     j = jet(g2, CurveFunction.one(g2), p, 2)
@@ -315,6 +323,16 @@ def test_jet_pole_detected(g2):
     h = CurveFunction(g2, Poly.one(), Poly.zero(), Poly([-1, 1]))  # 1/(x-1)
     with pytest.raises(PoleAtPointError):
         jet(g2, h, g2.point(1, 3), 1)
+
+
+def test_jet_removable_singularity(g2):
+    # (y - 2)/x: y - 2 vanishes to order 1 at (0, 2), so the quotient is
+    # regular there with y's jet shifted down; at (0, -2) it has a pole
+    h = CurveFunction(g2, Poly([-2]), Poly.one(), Poly([0, 1]))
+    y = jet(g2, CurveFunction.y(g2), g2.point(0, 2), 4).values
+    assert jet(g2, h, g2.point(0, 2), 3).values == y[1:]
+    with pytest.raises(PoleAtPointError):
+        jet(g2, h, g2.point(0, -2), 3)
 
 
 def test_jet_weierstrass_refused(g2):

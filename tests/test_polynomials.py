@@ -12,7 +12,6 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secantflow import series
 from secantflow.polynomials import Poly
 
 X = sympy.Symbol("x")
@@ -149,7 +148,6 @@ def test_truncated_shift(p, x0):
     deg = max(p.degree, 0)
     for n in (0, 1, deg, deg + 1, deg + 3):
         assert p.shift(x0, n) == Poly(full.coeffs[:n])
-        assert series.shifted_poly(p, x0, n) == [full[i] for i in range(n)]
 
 
 @given(st.lists(small_fracs.filter(bool), min_size=1, max_size=3),

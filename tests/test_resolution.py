@@ -29,6 +29,8 @@ from secantflow import (
     make_curve,
     point_class,
     pool_divisors,
+    secant,
+    secant_plane,
     section_order,
     standard_curve,
     upward_targets,
@@ -36,6 +38,7 @@ from secantflow import (
 from secantflow.errors import (
     BoundViolationError,
     BudgetViolationError,
+    DegenerateRankError,
     InadmissibleSupportError,
     MalformedInputError,
     UnsupportedSupportError,
@@ -461,6 +464,37 @@ def test_enumeration_matches_reference_walk(curve, criterion_7_runs, run):
 def chain_dag(curve, top, ell, pool):
     enumerate_chains(curve, top, ell, pool)
     return resolution._continuations(curve, top, ell, tuple(pool))
+
+
+@pytest.mark.parametrize("run", ["budget_1", "budget_2", "budget_3"])
+def test_canonical_class_is_the_column_sum(curve, criterion_7_runs, run):
+    """On every edge of the DAG the class is the plain sum of the witness
+    plane's columns, and the witness is its unique minimal pool witness."""
+    top, ell, pool, _ = criterion_7_runs[run]
+    edges = 0
+    for node, (steps, _) in chain_dag(curve, top, ell, pool).items():
+        pair = node.pair()
+        for x, _ in steps:
+            D = x.witness
+            plane = secant_plane(curve, pair, D)
+            assert x.cls.coords == tuple(sum(row) for row in plane.matrix())
+            res = secant.stratum_search(curve, pair, x.cls, tuple(pool),
+                                        D.degree)
+            assert res == secant.StratumResult(D.degree, (D,), True)
+            edges += 1
+    assert edges > 0
+
+
+@pytest.mark.parametrize("found", ["nothing", "another witness"])
+def test_canonical_class_checks_its_witness(monkeypatch, curve, top, pool,
+                                            found):
+    D = Divisor.of_point(pool[0])
+    other = secant.StratumResult(1, (Divisor.of_point(pool[1]),), True)
+    monkeypatch.setattr(resolution, "stratum_search", lambda *args: (
+        None if found == "nothing" else other))
+    with pytest.raises(DegenerateRankError):
+        resolution._canonical_class.__wrapped__(curve, top.pair(), D,
+                                                tuple(pool))
 
 
 @pytest.mark.parametrize("run", ["budget_1", "budget_2", "budget_3"])

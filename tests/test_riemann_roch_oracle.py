@@ -13,13 +13,14 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linalg_helpers import nullspace
 from secantflow import (INF, CurveFunction, Divisor, Poly, h1_dim, make_curve,
                         riemann_roch_space)
-from secantflow.curve import _y_numerators
+from secantflow.curve import _y_series_cached
 
 
 def reference_basis(curve, D: Divisor) -> tuple[CurveFunction, ...]:
@@ -121,6 +122,14 @@ def test_named_divisors_match_fraction_rows(curve, D):
 @pytest.mark.parametrize("p", [P14, P14_BAR, G3_POINTS[5]])
 def test_integer_y_series_is_the_fraction_one(p):
     curve = G2 if p in G2_POINTS else G3
-    Y, E = _y_numerators(curve, p, 9)
+    Y, E = _y_series_cached(curve, p, 9)
     assert E > 0 and math.gcd(E, *Y) == 1
     assert [Fraction(c, E) for c in Y] == curve.y_series(p.x, p.y, 9)
+    # against sympy: y0 sqrt(f(x0 + z) / y0^2), the branch through y0
+    z = sympy.Symbol("z")
+    x0, y0 = (sympy.Rational(c.numerator, c.denominator) for c in (p.x, p.y))
+    f = sum(sympy.Rational(c.numerator, c.denominator) * (x0 + z) ** i
+            for i, c in enumerate(curve.f.coeffs))
+    ser = sympy.series(y0 * sympy.sqrt(f / y0 ** 2), z, 0, 9).removeO()
+    assert [Fraction(c, E) for c in Y] == [
+        Fraction(int(c.p), int(c.q)) for c in (ser.coeff(z, k) for k in range(9))]

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.ring_series import rs_mul, rs_series_inversion
+from sympy.polys.rings import ring
 
 from secantflow import (
     INF,
@@ -27,7 +30,6 @@ from secantflow import (
     pool_divisors,
     secant,
     secant_plane,
-    series,
     standard_curve,
     stratum_membership,
     twist_section_space,
@@ -38,6 +40,7 @@ from secantflow.errors import (
     DimensionMismatchError,
     InadmissibleSupportError,
     MalformedInputError,
+    PoleAtPointError,
 )
 
 
@@ -514,6 +517,49 @@ ORACLE_POINTS = [ORACLE_CURVE.point(x, y)
                  for x in (0, 1, -1, 2, -2) for y in (1, -1)]
 small_polys = st.lists(small_fracs, max_size=4).map(Poly)
 
+# Jets from sympy alone: y = y0 sqrt(f(x0 + z) / y0^2), the branch through
+# y0, by sympy's series, then (a + b y) / q in its power series ring
+Z_RING, Z = ring("z", sympy.QQ)
+ORACLE_Y_ORDER = 12
+
+
+def _sympy_rational(c: Fraction):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def _sympy_shift(p: Poly, x0: Fraction):
+    x = sympy.Symbol("x")
+    coeffs = [_sympy_rational(c) for c in reversed(p.coeffs)] or [0]
+    return Z_RING.from_list(sympy.Poly(coeffs, x).shift(
+        _sympy_rational(x0)).all_coeffs())
+
+
+@lru_cache(maxsize=None)
+def _sympy_y(x0: Fraction, y0: Fraction):
+    z = sympy.Symbol("z")
+    f = sum(_sympy_rational(c) * (_sympy_rational(x0) + z) ** i
+            for i, c in enumerate(ORACLE_CURVE.f.coeffs))
+    y0 = _sympy_rational(y0)
+    return Z_RING(sympy.series(y0 * sympy.sqrt(f / y0 ** 2), z, 0,
+                               ORACLE_Y_ORDER).removeO())
+
+
+def _sympy_jet(h: CurveFunction, p, n: int) -> list[Fraction] | None:
+    """The first n terms of (a + b y)/q at p in z = x - x0, or None when
+    it has a pole there."""
+    a, b, q = (_sympy_shift(e, p.x) for e in (h.a, h.b, h.den))
+    v = min(k for (k,) in q.monoms())
+    assert n + v <= ORACLE_Y_ORDER
+    num = a + rs_mul(b, _sympy_y(p.x, p.y), Z, n + v)
+    terms = dict(num.terms())
+    if any(terms.get((k,), 0) for k in range(v)):
+        return None
+    quo = rs_mul(num.quo(Z ** v), rs_series_inversion(q.quo(Z ** v), Z, n),
+                 Z, n)
+    terms = dict(quo.terms())
+    return [Fraction(int(c.numerator), int(c.denominator))
+            for c in (terms.get((k,), 0) for k in range(n))]
+
 
 @given(st.data())
 @settings(max_examples=25, deadline=None)
@@ -538,11 +584,15 @@ def test_jet_blocks_slice_and_clear_exactly(data):
             lead = next((i for i, x in enumerate(col) if x), None)
             scale = 1 if lead is None else Fraction(icol[lead], col[lead])
             assert scale > 0 and list(icol) == [scale * x for x in col]
-        # a constant denominator skips the division; the values do not move
-        for f in (h, *(b for b in basis if b.den.degree == 0)):
+        # every basis element, with a denominator or without; a pole at p
+        # raises
+        for f in (h, *basis):
             n = delta - 1
-            ref = series.divide(f.numerator_series(p.x, p.y, n + 1),
-                                series.shifted_poly(f.den, p.x, n + 1), n + 1)
+            ref = _sympy_jet(f, p, n + 1)
+            if ref is None:
+                with pytest.raises(PoleAtPointError):
+                    jet(curve, f, p, n)
+                continue
             got = jet(curve, f, p, n).values
             assert list(got) == ref
             assert all(type(x) is Fraction for x in got)

@@ -44,10 +44,9 @@ y = 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 from . import series
 from .linalg import integer_kernel
@@ -57,6 +56,7 @@ from .errors import (
     NonSquarefreeError,
     PoleAtPointError,
     UnsupportedSupportError,
+    Value,
     WeierstrassPointError,
     ZeroSectionError,
     invariant,
@@ -68,41 +68,16 @@ from .polynomials import Poly, Scalar, _frac
 # points and curves
 # ---------------------------------------------------------------------------
 
-def hash_once(cls):
-    """Class decorator for a frozen dataclass whose instances key caches.
-
-    The dataclass's field hash is computed on first use and kept in the
-    instance ``__dict__``, so its value is unchanged.  Copying and
-    pickling rebuild the value through its constructor: a kept hash (which
-    may mix in per-process string hashes) never crosses a process.
-    """
-    field_hash = cls.__hash__
-    names = tuple(f.name for f in fields(cls))
-
-    def __hash__(self):
-        kept = self.__dict__
-        try:
-            return kept["_hash"]
-        except KeyError:
-            h = kept["_hash"] = field_hash(self)
-            return h
-
-    def __reduce__(self):
-        return cls, tuple(getattr(self, name) for name in names)
-
-    cls.__hash__ = __hash__
-    cls.__reduce__ = __reduce__
-    return cls
-
-
-@hash_once
-@dataclass(frozen=True, order=False)
-class CurvePoint:
+class CurvePoint(Value):
     """A closed point of the model: infinity, or an affine point (x0, y0)."""
 
     at_infinity: bool
     x: Fraction | None = None
     y: Fraction | None = None
+
+    def __init__(self, at_infinity, x=None, y=None):
+        object.__setattr__(self, "__dict__",
+                           {"at_infinity": at_infinity, "x": x, "y": y})
 
     @classmethod
     def infinity(cls) -> CurvePoint:
@@ -132,9 +107,7 @@ class CurvePoint:
 INF = CurvePoint.infinity()
 
 
-@hash_once
-@dataclass(frozen=True)
-class HyperellipticCurve:
+class HyperellipticCurve(Value):
     """The curve y^2 = f(x), f squarefree of odd degree 2g+1 >= 5."""
 
     f: Poly
@@ -600,8 +573,7 @@ def vanishing_order(curve: HyperellipticCurve, h: CurveFunction,
     return v
 
 
-@dataclass(frozen=True)
-class JetVector:
+class JetVector(Value):
     """Taylor coefficients (orders 0..order) of a function at an affine point.
 
     These coefficients span the same functionals as residues against
@@ -612,6 +584,10 @@ class JetVector:
     point: CurvePoint
     order: int
     values: tuple[Fraction, ...]
+
+    def __init__(self, point, order, values):
+        object.__setattr__(self, "__dict__",
+                           {"point": point, "order": order, "values": values})
 
 
 def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
@@ -653,8 +629,7 @@ def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
 # Riemann-Roch spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectionSpace:
+class SectionSpace(Value):
     """L(D) = {h : div(h) + D >= 0}, with an exact basis."""
 
     divisor: Divisor

@@ -17,10 +17,10 @@ recognize the pure Hecke twist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeUExponentError, SmoothnessFailureError, invariant
+from .errors import (NegativeUExponentError, SmoothnessFailureError, Value,
+                     invariant)
 from .polynomials import Scalar, _frac
 
 Key = tuple[int, int, int, int, int]  # (z, eta, u, phi, w) exponents
@@ -42,6 +42,9 @@ class LocalScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("LocalScalar is immutable")
+
+    def __reduce__(self):
+        return LocalScalar, (self.terms,)
 
     # -- constructors -------------------------------------------------------
 
@@ -215,6 +218,9 @@ class LocalMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("LocalMatrix is immutable")
 
+    def __reduce__(self):
+        return LocalMatrix, (self.rows,)
+
     @classmethod
     def identity(cls) -> LocalMatrix:
         return cls(((ONE, ZERO), (ZERO, ONE)))
@@ -329,8 +335,7 @@ def gauge_factors(m: int) -> tuple[LocalMatrix, LocalMatrix]:
     return g1, g2
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(Value):
     m: int
     product: LocalMatrix
     eta0_slice: LocalMatrix
@@ -458,8 +463,7 @@ def multi_point_limit(multiplicities,
     return [limit_vanishing_order(m, phi_sym) for m in multiplicities]
 
 
-@dataclass(frozen=True)
-class TrivializationReport:
+class TrivializationReport(Value):
     bump_step_ok: bool
     rescale_step_ok: bool
 

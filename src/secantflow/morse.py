@@ -11,15 +11,12 @@ l and is independent of u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curve import Divisor, HyperellipticCurve, INF, h1_dim, standard_curve
 from .errors import (MorseBoundViolationError, UnsupportedSupportError,
-                     WeierstrassPointError, invariant)
+                     Value, WeierstrassPointError, invariant)
 
 
-@dataclass(frozen=True)
-class ModuliParams:
+class ModuliParams(Value):
     g: int
     degE: int
     degM: int
@@ -54,8 +51,7 @@ class ModuliParams:
         return self.d_min <= d <= self.d_max
 
 
-@dataclass(frozen=True)
-class CriticalSet:
+class CriticalSet(Value):
     """One critical set: the minimum marker or a nonminimal level d."""
 
     d: int
@@ -130,8 +126,7 @@ def stratum_codim(params: ModuliParams, ell: int, u: int) -> int:
     return closed
 
 
-@dataclass(frozen=True)
-class StratPoset:
+class StratPoset(Value):
     """Closure order on the strata of one unstable set."""
 
     u: int
@@ -162,8 +157,7 @@ def strat_poset(params: ModuliParams, u: int) -> StratPoset:
                                       if ell < u))
 
 
-@dataclass(frozen=True)
-class SmaleRow:
+class SmaleRow(Value):
     ell: int
     u: int
     codim: int
@@ -174,8 +168,7 @@ class SmaleRow:
         return self.codim == self.index
 
 
-@dataclass(frozen=True)
-class SmaleReport:
+class SmaleReport(Value):
     params: ModuliParams
     rows: tuple[SmaleRow, ...]
 

@@ -18,11 +18,11 @@ with the same value as ``hash(("Poly", coeffs))``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 # rational_roots tests every p/q with p | a0 and q | an (after clearing
 # denominators).  With both ends at 20 bits and highly composite (720720,

@@ -20,31 +20,34 @@ only a chain's first step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .curve import (INF, CurveFunction, CurvePoint, Divisor,
-                    HyperellipticCurve, hash_once, valuation,
+                    HyperellipticCurve, valuation,
                     validate_support)
 from .errors import (BudgetViolationError, DegenerateRankError,
                      MalformedInputError, ResolutionBoundViolationError,
-                     UnsupportedSupportError, WitnessNotMinimalError,
-                     ZeroSectionError, invariant)
+                     UnsupportedSupportError, Value, WitnessNotMinimalError,
+                     ZeroSectionError, invariant, replace)
 from .morse import ModuliParams
 from .secant import (BundlePair, DualClass, checked_pool, plane_membership,
                      pool_divisors, secant_plane, stratum_membership,
                      stratum_search)
 
 
-@dataclass(frozen=True)
-class FlowLinePoint:
+class FlowLinePoint(Value):
     """Initial condition of a flow line: dual class, minimal witness,
     and the circle phase (None once the phase has been erased)."""
 
     cls: DualClass
     witness: Divisor
     phase: Fraction | None = Fraction(0)
+
+    def __init__(self, cls, witness, phase=phase):
+        object.__setattr__(self, "__dict__",
+                           {"cls": cls, "witness": witness, "phase": phase})
+        self.__post_init__()
 
     def __post_init__(self):
         if self.witness.degree < 1:
@@ -80,9 +83,7 @@ def flow_line_point(curve: HyperellipticCurve, pair: BundlePair,
     return FlowLinePoint(cls, witness, phase)
 
 
-@hash_once
-@dataclass(frozen=True)
-class CriticalPointData:
+class CriticalPointData(Value):
     """A split critical point via divisor representatives.
 
     phi is one fixed rational function; at level d it is read as a
@@ -96,6 +97,12 @@ class CriticalPointData:
     M_rep: Divisor
     phi: CurveFunction
     d: int
+
+    def __init__(self, L1_rep, L2_rep, M_rep, phi, d):
+        object.__setattr__(self, "__dict__", {
+            "L1_rep": L1_rep, "L2_rep": L2_rep, "M_rep": M_rep, "phi": phi,
+            "d": d})
+        self.__post_init__()
 
     def __post_init__(self):
         if self.d != self.L1_rep.degree:
@@ -261,8 +268,7 @@ def upward_targets(curve: HyperellipticCurve, bottom: CriticalPointData,
 # chains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainRecord:
+class ChainRecord(Value):
     """A broken flow line: the top critical point and the list of
     (flow-line point, limit critical point) steps."""
 
@@ -424,8 +430,7 @@ def P_sec(chain: ChainRecord) -> FlowLinePoint:
     return chain.steps[0][0].erased()
 
 
-@dataclass(frozen=True)
-class CommutingReport:
+class CommutingReport(Value):
     chains: int
     first_steps: int
     commute_failures: int

@@ -31,7 +31,6 @@ in integers, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
@@ -44,7 +43,6 @@ from .curve import (
     HyperellipticCurve,
     INF,
     SectionSpace,
-    hash_once,
     jet,
     riemann_roch_space,
     validate_support,
@@ -58,12 +56,11 @@ from .errors import (
     InadmissibleSupportError,
     MalformedInputError,
     PoleAtPointError,
+    Value,
 )
 
 
-@hash_once
-@dataclass(frozen=True)
-class BundlePair:
+class BundlePair(Value):
     """Degrees and divisor representatives of (L1, L2) and the twist M."""
 
     d1: int
@@ -100,8 +97,7 @@ class BundlePair:
         return self.d1 - self.d2
 
 
-@dataclass(frozen=True)
-class DualClass:
+class DualClass(Value):
     """A nonzero vector of coordinates in the basis dual to the section
     basis of the twist space; projectively, an extension class."""
 
@@ -135,8 +131,7 @@ class DualClass:
         return self.normalized() == other.normalized()
 
 
-@dataclass(frozen=True)
-class SecantPlane:
+class SecantPlane(Value, hidden=("columns", "annihilator")):
     """Column span of a witness divisor's jet matrix, with its ambient.
 
     ``span`` holds the n x N jet matrix as Fraction rows; ``columns`` holds
@@ -155,8 +150,8 @@ class SecantPlane:
     pair: BundlePair
     witness: Divisor
     span: tuple[tuple[Fraction, ...], ...]  # rows
-    columns: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    annihilator: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    columns: tuple[tuple[int, ...], ...]
+    annihilator: tuple[tuple[int, ...], ...]
 
     @property
     def n_rows(self) -> int:
@@ -387,8 +382,7 @@ def plane_intersection(p1: SecantPlane, p2: SecantPlane) -> SecantPlane | None:
     return plane_e
 
 
-@dataclass(frozen=True)
-class StratumResult:
+class StratumResult(Value):
     """Least pool-witness degree of a class, with all minimal witnesses."""
 
     N: int

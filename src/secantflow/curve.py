@@ -28,9 +28,8 @@ package's caches; each computes its hash once and keeps it.
 
 Point admissibility (y^2 = f(x), and y != 0 on a support) is checked where
 data enters: ``HyperellipticCurve.point`` when a point is made,
-``validate_support`` in every function taking a divisor, witness or pool
-(``serialize.divisor_from_json``, whose points come from
-``HyperellipticCurve.point``, adds only ``check_off_weierstrass``),
+``validate_support`` in every function taking a divisor, witness or pool,
+``serialize.point_from_json`` for every point the wire format lists,
 and the y0^2 = f(x0) guard of ``series.sqrt_series`` wherever y is
 expanded.  ``validate_support`` stays the one checkpoint for supports; it
 remembers, per curve, the points it has passed (a bounded cache), so a
@@ -369,11 +368,6 @@ def _check_point(curve: HyperellipticCurve, p: CurvePoint) -> None:
     # lru_cache keeps no entry for a call that raises
     if not curve.is_on_curve(p.x, p.y):
         raise UnsupportedSupportError(f"{p!r} is not on the curve")
-    check_off_weierstrass(p)
-
-
-def check_off_weierstrass(p: CurvePoint) -> None:
-    """Reject an affine support point with y = 0."""
     if p.y == 0:
         raise UnsupportedSupportError(
             f"{p!r} is a Weierstrass point; support must avoid y = 0")

@@ -142,7 +142,7 @@ def _integral(v: Vector) -> list[int]:
     # rank and rref clear their rows through this private name, so
     # per-call instrumentation of the public functions (perfbench/tracer.py)
     # records one span per elimination, not one more per row.
-    if set(map(type, v)) == _INT:  # already cleared: annihilators, columns
+    if set(map(type, v)) == _INT:  # already cleared: annihilator rows
         return list(v)
     den = math.lcm(*(x.denominator for x in v))
     if den == 1:

@@ -32,13 +32,10 @@ class LocalScalar:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Key, Fraction] | None = None):
-        clean: dict[Key, Fraction] = {}
-        for key, c in (terms or {}).items():
-            if c == 0 or key[4] >= 2:  # w^2 = 0
-                continue
-            clean[key] = clean.get(key, Fraction(0)) + c
-        object.__setattr__(self, "terms",
-                           {k: v for k, v in sorted(clean.items()) if v != 0})
+        # a dict's keys are unique already: sort once, dropping zero
+        # terms and w^2 = 0
+        object.__setattr__(self, "terms", {
+            k: c for k, c in sorted((terms or {}).items()) if c and k[4] < 2})
 
     def __setattr__(self, name, value):
         raise AttributeError("LocalScalar is immutable")
@@ -87,7 +84,7 @@ class LocalScalar:
     def __add__(self, other: LocalScalar) -> LocalScalar:
         acc = dict(self.terms)
         for k, c in other.terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
+            acc[k] = acc[k] + c if k in acc else c
         return LocalScalar(acc)
 
     def __neg__(self) -> LocalScalar:
@@ -104,7 +101,8 @@ class LocalScalar:
                     if w1 + w2 >= 2:
                         continue
                     key = (z1 + z2, b1 + b2, k1 + k2, p1 + p2, w1 + w2)
-                    acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+                    c = c1 * c2
+                    acc[key] = acc[key] + c if key in acc else c
             return LocalScalar(acc)
         c = _frac(other)
         return LocalScalar({k: v * c for k, v in self.terms.items()})
@@ -121,7 +119,8 @@ class LocalScalar:
             if w:
                 continue
             key = (z, 0, k, p, 0)
-            acc[key] = acc.get(key, Fraction(0)) + c * value ** b
+            c *= value ** b
+            acc[key] = acc[key] + c if key in acc else c
         return LocalScalar(acc)
 
     def u_limit(self) -> LocalScalar:
@@ -142,7 +141,8 @@ class LocalScalar:
             if b == 0:
                 continue
             key = (z, b - 1, k, p, w + 1)
-            acc[key] = acc.get(key, Fraction(0)) + c * b
+            c *= b
+            acc[key] = acc[key] + c if key in acc else c
         return LocalScalar(acc)
 
     # -- comparison and display ---------------------------------------------

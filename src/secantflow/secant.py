@@ -9,20 +9,21 @@ at p through order k-1.  Residue functionals against z^-1..z^-k span the
 same block, so ranks computed from jets are the ones the geometry dictates.
 
 Each point's jets are computed once per pair, up to order d1 - d2 - 2,
-the most any witness inside the degree bound needs, and kept both as
-Fractions and cleared to integers column by column; a witness reads its
-columns off those blocks.  Every query goes through a plane's
-annihilator, the primitive integer rows spanning the jet matrix's left
-kernel: a class lies on the plane when it pairs to zero with every row,
-and two planes meet in dimension n - rank of their stacked annihilators.
-The planes are nested, the plane of D inside the plane of D + p (the
-flag behind Bertram's resolution of secant varieties: A. Bertram,
-"Moduli of rank-2 vector bundles, theta divisors, and the geometry of
-curves in projective space", J. Diff. Geom. 35, 1992), so no plane
-eliminates its columns: its annihilator is its parent's after one exact
-rank-one update by the one column the parent lacks, and the same update
-checks the rank law (rank = deg D).  The degree bound
-deg D < d1 - d2 keeps every jet matrix of full rank N; within it, for
+the most any witness inside the degree bound needs, and kept as exact
+Fraction columns; a witness reads its columns off those blocks, and a
+plane is the value of (curve, pair, witness).  Every query goes through
+a plane's annihilator, the primitive integer rows spanning the jet
+matrix's left kernel: a class lies on the plane when it pairs to zero
+with every row, and two planes meet in dimension n - rank of their
+stacked annihilators.  The planes are nested, the plane of D inside the
+plane of D + p (the flag behind Bertram's resolution of secant
+varieties: A. Bertram, "Moduli of rank-2 vector bundles, theta divisors,
+and the geometry of curves in projective space", J. Diff. Geom. 35,
+1992), so no plane eliminates its columns: its annihilator is its
+parent's after one exact rank-one update by the one column the parent
+lacks, cleared to integers there, and the same update checks the rank
+law (rank = deg D).  The degree bound deg D < d1 - d2 keeps every jet
+matrix of full rank N; within it, for
 deg lcm(D1, D2) < d1 - d2, two planes meet exactly in the plane of the
 pointwise gcd of their witnesses.  Both facts are verified per instance,
 in integers, never assumed.
@@ -131,26 +132,25 @@ class DualClass(Value):
         return self.normalized() == other.normalized()
 
 
-class SecantPlane(Value, hidden=("columns", "annihilator")):
+class SecantPlane(Value, hidden=("span", "annihilator")):
     """Column span of a witness divisor's jet matrix, with its ambient.
 
-    ``span`` holds the n x N jet matrix as Fraction rows; ``columns`` holds
-    its N columns cleared to integers (each a positive multiple of its
-    Fraction column); ``annihilator`` holds primitive integer rows spanning
-    the matrix's left kernel, n - N of them: by duality the sections of the
-    twist vanishing on the witness, so a class lies on the plane exactly
-    when every row pairs to zero with it.  The annihilator comes from the
-    same rank-one update of the parent plane's that checked the rank law
-    when the plane was built, and equals ``linalg.integer_kernel`` of the
-    columns row for row.  Equality and hashing look at the ambient, the
-    witness and ``span``.
+    ``span`` holds the n x N jet matrix as Fraction rows; ``annihilator``
+    holds primitive integer rows spanning the matrix's left kernel,
+    n - N of them: by duality the sections of the twist vanishing on the
+    witness, so a class lies on the plane exactly when every row pairs to
+    zero with it.  The annihilator comes from the same rank-one update of
+    the parent plane's that checked the rank law when the plane was
+    built, and equals ``linalg.integer_kernel`` of the columns (cleared
+    to integers) row for row.  Both are functions of the ambient and the
+    witness, so equality, hashing and the repr look at (curve, pair,
+    witness) only.
     """
 
     curve: HyperellipticCurve
     pair: BundlePair
     witness: Divisor
     span: tuple[tuple[Fraction, ...], ...]  # rows
-    columns: tuple[tuple[int, ...], ...]
     annihilator: tuple[tuple[int, ...], ...]
 
     @property
@@ -180,16 +180,14 @@ def twist_section_space(curve: HyperellipticCurve, pair: BundlePair) -> SectionS
 
 @lru_cache(maxsize=1024)
 def _jet_block(curve: HyperellipticCurve, pair: BundlePair, point, order: int):
-    """Columns (orders 0..order-1) of the jet block at one point, as
-    Fractions and cleared to integers: (columns, integer columns).
+    """Columns (orders 0..order-1) of the jet block at one point, as a
+    tuple of exact Fraction columns.
 
     Callers ask for max(mult, d1 - d2 - 1) orders and slice (see
     ``_witness_columns``): the jets through order k are a prefix of the
     jets through any higher order, and inside the degree bound no
     multiplicity exceeds d1 - d2 - 1, so one block per (pair, point)
-    serves every witness.  Each integer column is its Fraction column
-    times the lcm of its denominators, a positive scale, which keeps the
-    span, the rank and the left kernel.
+    serves every witness.
 
     Jets are taken in a local frame of the twist bundle: when the
     representative divisor L1 - L2 + K carries the point with
@@ -213,23 +211,18 @@ def _jet_block(curve: HyperellipticCurve, pair: BundlePair, point, order: int):
         raise BasisPoleCollisionError(
             f"a section basis element has a pole at ({point.x}, {point.y}); "
             "choose representatives supported away from the witness") from exc
-    cols = tuple(tuple(jets[i][k] for i in range(space.dim))
+    return tuple(tuple(jets[i][k] for i in range(space.dim))
                  for k in range(order))
-    return cols, tuple(tuple(linalg.integral(col)) for col in cols)
 
 
 def _witness_columns(curve: HyperellipticCurve, pair: BundlePair,
-                     D: Divisor) -> tuple[list, list]:
-    """The jet columns of D, block by block in point order, as Fractions
-    and as integers, sliced from each point's one jet block."""
+                     D: Divisor) -> list[tuple[Fraction, ...]]:
+    """The jet columns of D, block by block in point order, sliced from
+    each point's one jet block."""
     cols: list[tuple[Fraction, ...]] = []
-    ints: list[tuple[int, ...]] = []
     for p, mult in D.items():
-        block, block_ints = _jet_block(curve, pair, p,
-                                       max(mult, pair.delta - 1))
-        cols += block[:mult]
-        ints += block_ints[:mult]
-    return cols, ints
+        cols += _jet_block(curve, pair, p, max(mult, pair.delta - 1))[:mult]
+    return cols
 
 
 def _validate_witness(curve: HyperellipticCurve, D: Divisor) -> None:
@@ -262,14 +255,14 @@ def embedding_matrix(curve: HyperellipticCurve, pair: BundlePair,
     list of rows, n x N.
     """
     _validate_witness(curve, D)
-    return linalg.transpose(_witness_columns(curve, pair, D)[0])
+    return linalg.transpose(_witness_columns(curve, pair, D))
 
 
 def point_class(curve: HyperellipticCurve, pair: BundlePair, p) -> DualClass:
     """Image of a curve point in the dual space (the N = 1 column)."""
     D = Divisor.of_point(p)
     _validate_witness(curve, D)
-    (col,), _ = _witness_columns(curve, pair, D)
+    (col,) = _witness_columns(curve, pair, D)
     return DualClass(col)
 
 
@@ -283,11 +276,11 @@ def secant_plane(curve: HyperellipticCurve, pair: BundlePair,
     (which the degree bound rules out; it is checked anyway).  The plane
     of D contains the plane of its parent, D less one multiplicity of its
     last point, whose columns are D's columns but the last one; the
-    annihilator is the parent's, updated by that column (see
-    ``_annihilator_update``), and the parent of a single point is the
-    zero divisor, annihilated by the unit basis.  The parent certified
-    its own rank law, so rank deg D holds exactly when the new column
-    pairs to nonzero with some parent row.  A plane is built and checked
+    annihilator is the parent's, updated by that column cleared to
+    integers (see ``_annihilator_update``), and the parent of a single
+    point is the zero divisor, annihilated by the unit basis.  The parent
+    certified its own rank law, so rank deg D holds exactly when the new
+    column pairs to nonzero with some parent row.  A plane is built and checked
     once per (curve, pair, D) and then shared; a call that raises is not
     remembered, so bad input raises every time.
     """
@@ -295,19 +288,18 @@ def secant_plane(curve: HyperellipticCurve, pair: BundlePair,
         raise BoundViolationError(
             f"deg D = {D.degree} must stay below d1 - d2 = {pair.delta}")
     _validate_witness(curve, D)
-    cols, ints = _witness_columns(curve, pair, D)
+    cols = _witness_columns(curve, pair, D)
     n = len(cols[0])
     parent = D - Divisor.of_point(D.items()[-1][0])
     if parent.is_zero():
         rows = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
     else:
         rows = secant_plane(curve, pair, parent).annihilator
-    annihilator = _annihilator_update(rows, ints[-1])
+    annihilator = _annihilator_update(rows, linalg.integral(cols[-1]))
     if annihilator is None:
         raise DegenerateRankError(f"jet matrix of {D!r} has rank "
                                   f"{D.degree - 1}, expected {D.degree}")
-    return SecantPlane(curve, pair, D, tuple(zip(*cols)), tuple(ints),
-                       annihilator)
+    return SecantPlane(curve, pair, D, tuple(zip(*cols)), annihilator)
 
 
 def _annihilator_update(rows, w):
@@ -356,8 +348,8 @@ def plane_intersection(p1: SecantPlane, p2: SecantPlane) -> SecantPlane | None:
     < d1 - d2; BoundViolationError past that bound, where wider planes
     may meet in more.  Verified in integers: the planes meet in dimension
     n - rank [A1; A2] of their stacked annihilators, which must be deg E,
-    and E's integer columns pair to zero with both, so the planes are
-    equal.  DegenerateRankError on any mismatch.
+    and E's columns, cleared to integers, pair to zero with both, so the
+    planes are equal.  DegenerateRankError on any mismatch.
     """
     if p1.curve != p2.curve or p1.pair != p2.pair:
         raise DimensionMismatchError("planes live in different ambients")
@@ -376,7 +368,8 @@ def plane_intersection(p1: SecantPlane, p2: SecantPlane) -> SecantPlane | None:
     if E.is_zero():
         return None
     plane_e = secant_plane(curve, pair, E)
-    if any(sum(map(mul, row, x)) for row in stacked for x in plane_e.columns):
+    columns = [linalg.integral(col) for col in zip(*plane_e.span)]
+    if any(sum(map(mul, row, x)) for row in stacked for x in columns):
         raise DegenerateRankError(
             f"the plane of {E!r} does not lie on both planes")
     return plane_e

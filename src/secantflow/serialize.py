@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curve import (INF, CurveFunction, CurvePoint, Divisor,
-                    HyperellipticCurve, check_off_weierstrass, make_curve)
+                    HyperellipticCurve, make_curve)
 from .errors import MalformedInputError
 from .polynomials import ROOT_SEARCH_MAX_BITS, Poly
 
@@ -110,22 +110,29 @@ def curve_from_json(obj) -> HyperellipticCurve:
 
 
 def point_to_json(p: CurvePoint) -> dict:
-    if p.at_infinity:
-        return {"inf": True}
     return {"x": frac_to_str(p.x), "y": frac_to_str(p.y)}
 
 
 def point_from_json(curve: HyperellipticCurve, obj,
                     field: str = "point") -> CurvePoint:
+    """The affine point of the curve off y = 0 that obj names: the only
+    points the wire format lists (a divisor carries infinity in "inf")."""
     if not isinstance(obj, dict):
         raise MalformedInputError(f"expected a point object, got {obj!r}",
                                   field=field)
-    if obj.get("inf"):
-        return INF
     if "x" not in obj or "y" not in obj:
-        raise MalformedInputError('a point needs "x" and "y"', field=field)
-    return curve.point(frac_from_str(obj["x"], field=f"{field}.x"),
-                       frac_from_str(obj["y"], field=f"{field}.y"))
+        raise MalformedInputError('an affine point needs "x" and "y"',
+                                  field=field)
+    x = frac_from_str(obj["x"], field=f"{field}.x")
+    y = frac_from_str(obj["y"], field=f"{field}.y")
+    if not curve.is_on_curve(x, y):
+        raise MalformedInputError(f"({x}, {y}) does not satisfy y^2 = f(x)",
+                                  field=field)
+    if y == 0:
+        raise MalformedInputError(
+            f"({x}, 0) is a Weierstrass point; support must avoid y = 0",
+            field=field)
+    return CurvePoint.affine(x, y)
 
 
 def divisor_to_json(D: Divisor) -> dict:
@@ -170,10 +177,7 @@ def divisor_from_json(curve: HyperellipticCurve, obj,
         raise MalformedInputError(
             f"multiplicities add up to more than {MAX_DIVISOR_WEIGHT} in "
             "absolute value", field=field)
-    D = Divisor(coeffs)
-    for p, _ in D.affine_items():  # curve.point has checked y^2 = f(x)
-        check_off_weierstrass(p)
-    return D
+    return Divisor(coeffs)
 
 
 def pool_from_json(curve: HyperellipticCurve, obj) -> tuple[CurvePoint, ...]:
@@ -184,8 +188,15 @@ def pool_from_json(curve: HyperellipticCurve, obj) -> tuple[CurvePoint, ...]:
     if not isinstance(pts, list) or not pts:
         raise MalformedInputError('"points" must be a nonempty list',
                                   field="points")
-    return tuple(point_from_json(curve, p, field=f"points[{i}]")
-                 for i, p in enumerate(pts))
+    first: dict[CurvePoint, int] = {}
+    for j, obj in enumerate(pts):
+        p = point_from_json(curve, obj, field=f"points[{j}]")
+        if p in first:
+            raise MalformedInputError(
+                f"repeats points[{first[p]}]; pool points must be distinct",
+                field=f"points[{j}]")
+        first[p] = j
+    return tuple(first)
 
 
 def pool_to_json(pool) -> dict:

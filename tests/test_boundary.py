@@ -8,7 +8,10 @@ digits than CPython converts to and from str (bare or quoted), a string
 too long to hold two such numbers, a JSON boolean standing for a number
 and a divisor whose multiplicities weigh more than the cap exit 2 at
 once, naming the field; so do ``secant-matrix``'s degree flags above the
-same cap, naming the flag.
+same cap, naming the flag.  A listed point (a divisor's ``affine``
+entry, a pool's ``points`` entry) is an affine point of the curve off
+y = 0, distinct from the pool's other points; any other exits 2 naming
+the entry.
 """
 
 from __future__ import annotations
@@ -271,3 +274,78 @@ def test_secant_matrix_flags_at_the_cap_are_read(tmp_path, capsys):
     assert _secant_matrix(tmp_path, 1 - W, -W, W) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["rank"] == 2 and len(out["matrix"]) == 2
+
+
+# -- listed points ------------------------------------------------------------
+
+W0 = ["0", "3", "0", "0", "0", "1"]          # y^2 = x^5 + 3x: (0, 0) is on it
+TOP_JSON = {"L1": {"inf": 3}, "L2": {"inf": -2}, "M": {"inf": 6},
+            "phi": {"a": ["1"]}}
+OFF_CURVE = {"x": "0", "y": "2"}
+AT_INFINITY = {"inf": True, "mult": 2}
+SECANT = ["secant-matrix", "--d1", "5", "--d2", "0", "--m", "5"]
+LISTED_POINTS = {
+    # (subcommand and options, curve, file flag, payload, field named)
+    "rr_space_off_curve": (
+        ["rr-space"], G2, "--divisor",
+        {"inf": 5, "affine": [OFF_CURVE]}, "divisor.affine[0]"),
+    "rr_space_weierstrass": (
+        ["rr-space"], W0, "--divisor",
+        {"inf": 5, "affine": [{"x": "1", "y": "2"}, {"x": "0", "y": "0"}]},
+        "divisor.affine[1]"),
+    "rr_space_infinity_entry": (
+        ["rr-space"], G2, "--divisor",
+        {"inf": 3, "affine": [AT_INFINITY]}, "divisor.affine[0]"),
+    "secant_matrix_off_curve": (
+        SECANT, G2, "--divisor",
+        {"affine": [{"x": "0", "y": "1"}, OFF_CURVE]}, "divisor.affine[1]"),
+    "secant_matrix_weierstrass": (
+        SECANT, W0, "--divisor",
+        {"affine": [{"x": "0", "y": "0"}]}, "divisor.affine[0]"),
+    "secant_matrix_infinity_entry": (
+        SECANT, G2, "--divisor", {"affine": [AT_INFINITY]},
+        "divisor.affine[0]"),
+    "chains_top_off_curve": (
+        ["chains"], G2, "--top",
+        {**TOP_JSON, "L1": {"inf": 2, "affine": [OFF_CURVE]}},
+        "L1.affine[0]"),
+    "chains_top_infinity_entry": (
+        ["chains"], G2, "--top",
+        {**TOP_JSON, "L1": {"inf": 1, "affine": [AT_INFINITY]}},
+        "L1.affine[0]"),
+    "chains_pool_off_curve": (
+        ["chains"], G2, "--pool",
+        {"points": [{"x": "0", "y": "1"}, OFF_CURVE]}, "points[1]"),
+    "chains_pool_weierstrass": (
+        ["chains"], W0, "--pool",
+        {"points": [{"x": "1", "y": "2"}, {"x": "0", "y": "0"}]},
+        "points[1]"),
+    "chains_pool_infinity": (
+        ["chains"], G2, "--pool",
+        {"points": [{"x": "0", "y": "1"}, {"inf": True}]}, "points[1]"),
+    "chains_pool_repeated": (
+        ["chains"], G2, "--pool",
+        {"points": [{"x": "0", "y": "1"}, {"x": "1", "y": "1"},
+                    {"x": "0", "y": "1"}]}, "points[2]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LISTED_POINTS))
+def test_inadmissible_listed_point_exits_two_naming_it(tmp_path, capsys,
+                                                       case):
+    argv, f, flag, payload, field = LISTED_POINTS[case]
+    files = {"--curve": {"f": f}, flag: payload}
+    if argv[0] == "chains":
+        files = {"--top": TOP_JSON, "--pool": POOL, **files}
+        argv = [*argv, "--ell", "1"]
+    args = list(argv)
+    for name, obj in files.items():
+        path = tmp_path / f"{name[2:]}.json"
+        path.write_text(json.dumps(obj))
+        args += [name, str(path)]
+    started = time.perf_counter()
+    code = cli.main(args)
+    assert time.perf_counter() - started < 1
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"input error [cli]: {field}: "), out.err

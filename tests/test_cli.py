@@ -256,10 +256,12 @@ def test_exit_two_on_off_curve_point(files, tmp_path, where):
         paths = {"top": files["top"], "pool": files["pool"], where: str(bad)}
         args = ["chains", "--curve", files["curve"], "--top", paths["top"],
                 "--ell", "2", "--pool", paths["pool"]]
+    field = {"divisor": "divisor.affine[0]", "pool": "points[1]",
+             "top": "L1.affine[0]"}[where]
     res = run_cli(*args)
     assert res.returncode == 2
-    assert res.stderr == ("input error [curve]: (2, 3) does not satisfy "
-                          "y^2 = f(x)\n")
+    assert res.stderr == (f"input error [cli]: {field}: (2, 3) does not "
+                          "satisfy y^2 = f(x)\n")
 
 
 def test_exit_two_on_pole_over_negative_fibre(files, tmp_path):

@@ -1,5 +1,5 @@
-"""Golden output: ``rr-space``, ``secant-matrix`` and ``chains
---check-diagram`` JSON and CSV stdout, byte for byte.
+"""Golden output: ``rr-space``, ``secant-matrix``, ``chains
+--check-diagram`` and ``local-model`` JSON and CSV stdout, byte for byte.
 
 The expected bytes under ``tests/golden/rr_space`` pin the Riemann-Roch
 bases (their normal form included) for a fixed set of criterion-1
@@ -12,6 +12,11 @@ pin the plane path: jet matrices with their ranks (repeated points, a
 conjugate pair, genus 3), and broken flow lines with the commuting-diagram
 and fibre-count report, whose classes and minimal witnesses come from
 secant-plane membership tests.
+
+The bytes under ``tests/golden/local_model`` pin the symbolic gauge
+computation (its products, slices, conjugated Higgs field and scaled
+limit, each entry in the canonical term order of ``LocalScalar``) for
+modification orders 2 and 3.
 """
 
 from __future__ import annotations
@@ -65,6 +70,9 @@ TOP = {"L1": {"inf": 3, "affine": []}, "L2": {"inf": -2, "affine": []},
        "phi": {"a": ["1"], "b": [], "den": ["1"]}}
 POOL_6 = _pool((0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
+# modification orders of local-model
+LOCAL_MODEL_CASES = (2, 3)
+
 # (curve, top, pool, ell)
 CHAINS_CASES = {
     "pool6_ell2": (G2, TOP, POOL_6, 2),
@@ -111,6 +119,11 @@ def chains_stdout(tmp_path, capsys, case: str, emit: str) -> str:
                        "--check-diagram", "--emit", emit])
 
 
+def local_model_stdout(tmp_path, capsys, m: int, emit: str) -> str:
+    return cli_stdout(tmp_path, capsys, {},
+                      ["local-model", "--m", str(m), "--emit", emit])
+
+
 @pytest.mark.parametrize("emit", ["json", "csv"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_rr_space_output_is_pinned(tmp_path, capsys, case, emit):
@@ -133,3 +146,11 @@ def test_chains_output_is_pinned(tmp_path, capsys, case, emit):
     expected = (GOLDEN / "chains" / f"{case}.{emit}").read_text(
         encoding="utf-8")
     assert chains_stdout(tmp_path, capsys, case, emit) == expected
+
+
+@pytest.mark.parametrize("emit", ["json", "csv"])
+@pytest.mark.parametrize("m", LOCAL_MODEL_CASES)
+def test_local_model_output_is_pinned(tmp_path, capsys, m, emit):
+    expected = (GOLDEN / "local_model" / f"m{m}.{emit}").read_text(
+        encoding="utf-8")
+    assert local_model_stdout(tmp_path, capsys, m, emit) == expected

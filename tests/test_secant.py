@@ -21,6 +21,7 @@ from secantflow import (
     DualClass,
     Poly,
     StratumResult,
+    embedding_matrix,
     jet,
     linalg,
     make_curve,
@@ -575,15 +576,11 @@ def test_jet_blocks_slice_and_clear_exactly(data):
     basis = twist_section_space(curve, pair).basis
     h = CurveFunction(curve, data.draw(small_polys), data.draw(small_polys))
     for p in pool:
-        cols, ints = secant._jet_block(curve, pair, p, delta - 1)
+        cols = secant._jet_block(curve, pair, p, delta - 1)
         for k in range(1, delta):
-            assert (cols[:k], ints[:k]) == secant._jet_block.__wrapped__(
+            assert cols[:k] == secant._jet_block.__wrapped__(
                 curve, pair, p, k)
-        for col, icol in zip(cols, ints):
-            assert all(type(x) is int for x in icol)
-            lead = next((i for i, x in enumerate(col) if x), None)
-            scale = 1 if lead is None else Fraction(icol[lead], col[lead])
-            assert scale > 0 and list(icol) == [scale * x for x in col]
+        assert all(type(x) is Fraction for col in cols for x in col)
         # every basis element, with a denominator or without; a pole at p
         # raises
         for f in (h, *basis):
@@ -603,8 +600,6 @@ def test_jet_blocks_slice_and_clear_exactly(data):
     plane = secant_plane(curve, pair, Divisor([(pool[i], 1) for i in idx]))
     assert plane.annihilator == tuple(map(tuple, linalg.integer_kernel(
         linalg.transpose(plane.span))))
-    assert [list(c) for c in plane.columns] == [
-        linalg.integral(col) for col in zip(*plane.span)]
 
 
 @given(st.data())
@@ -628,8 +623,40 @@ def test_annihilator_update_matches_integer_kernel(data):
     for D in data.draw(st.permutations(witnesses)):
         plane = secant_plane(curve, pair, D)
         assert plane.annihilator == tuple(map(tuple, linalg.integer_kernel(
-            [list(c) for c in plane.columns])))
+            [linalg.integral(col) for col in zip(*plane.span)])))
         assert len(plane.annihilator) == n - D.degree
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_plane_matrix_embedding_matrix_and_point_class_agree(data):
+    # the three read the same jet columns; a plane is the value of
+    # (curve, pair, witness), whatever its span
+    curve = ORACLE_CURVE
+    pool = [ORACLE_POINTS[i] for i in data.draw(st.lists(
+        st.integers(0, len(ORACLE_POINTS) - 1), min_size=2, max_size=5,
+        unique=True))]
+    delta = data.draw(st.integers(4, 7))
+    make_l1 = data.draw(st.sampled_from(_l1_styles(pool[0], pool[1])))
+    pair = BundlePair(delta, 0, delta, make_l1(delta), Divisor.zero(),
+                      Divisor({INF: delta}))
+    N = data.draw(st.integers(1, delta - 1))
+    D = Divisor([(p, 1) for p in data.draw(st.lists(
+        st.sampled_from(pool), min_size=N, max_size=N))])
+    plane = secant_plane(curve, pair, D)
+    mat = plane.matrix()
+    assert mat == embedding_matrix(curve, pair, D)
+    assert all(type(x) is Fraction for row in mat for x in row)
+    start = 0
+    for p, mult in D.items():
+        assert [row[start] for row in mat] == list(
+            point_class(curve, pair, p).coords)
+        start += mult
+    assert start == D.degree
+
+    bare = type(plane)(curve, pair, D, (), ())
+    assert bare == plane and hash(bare) == hash(plane)
+    assert repr(bare) == repr(plane)
 
 
 @pytest.mark.parametrize("style", range(3))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from secantflow import INF, CurveFunction, Divisor, Poly, make_curve
 from secantflow import serialize as ser
-from secantflow.errors import MalformedInputError, UnsupportedSupportError
+from secantflow.errors import MalformedInputError
 from secantflow.localmodel import ZERO, phi, z_pow
 
 
@@ -64,13 +64,21 @@ def test_point_round_trip(curve):
     p = curve.point(0, 1)
     assert ser.point_to_json(p) == {"x": "0", "y": "1"}
     assert ser.point_from_json(curve, {"x": "0", "y": "1"}) == p
-    assert ser.point_to_json(INF) == {"inf": True}
-    assert ser.point_from_json(curve, {"inf": True}) == INF
+    # infinity is a divisor's "inf", never a listed point
+    with pytest.raises(MalformedInputError,
+                       match='^point: an affine point needs "x" and "y"'):
+        ser.point_from_json(curve, {"inf": True})
 
 
 def test_point_must_lie_on_the_curve(curve):
-    with pytest.raises(UnsupportedSupportError):
+    with pytest.raises(MalformedInputError,
+                       match=r"^point: \(0, 2\) does not satisfy"):
         ser.point_from_json(curve, {"x": "0", "y": "2"})
+    weierstrass = make_curve([0, 3, 0, 0, 0, 1])       # y^2 = x^5 + 3x
+    with pytest.raises(MalformedInputError,
+                       match=r"^points\[1\]: \(0, 0\) is a Weierstrass"):
+        ser.point_from_json(weierstrass, {"x": "0", "y": "0"},
+                            field="points[1]")
 
 
 def test_divisor_round_trip(curve):
@@ -95,6 +103,10 @@ def test_pool_round_trip(curve):
     obj = ser.pool_to_json(pool)
     assert obj == {"points": [{"x": "0", "y": "1"}, {"x": "1", "y": "-1"}]}
     assert ser.pool_from_json(curve, obj) == pool
+    with pytest.raises(MalformedInputError,
+                       match=r"^points\[2\]: repeats points\[0\]"):
+        ser.pool_from_json(curve, {"points": [*obj["points"],
+                                              {"x": "0", "y": "1"}]})
 
 
 # -- functions and critical points -------------------------------------------

@@ -37,7 +37,7 @@ CLASSES = {
     "SmoothnessReport": localmodel, "TrivializationReport": localmodel,
 }
 # fields that take no part in equality, hashing or the repr
-HIDDEN = {"SecantPlane": ("columns", "annihilator")}
+HIDDEN = {"SecantPlane": ("span", "annihilator")}
 
 
 def twin_of(cls):
@@ -113,7 +113,7 @@ FIELDS = {
     "BundlePair": (ints, ints, ints, divisors, divisors, divisors),
     "DualClass": (st.one_of(coords, st.tuples(st.booleans(), fracs),
                             st.just((0, 0))),),
-    "SecantPlane": (st.just(G2), pairs, effective, rows, int_rows, int_rows),
+    "SecantPlane": (st.just(G2), pairs, effective, rows, int_rows),
     "StratumResult": (small, st.tuples(effective), st.booleans()),
     "FlowLinePoint": (dual, divisors,
                       st.one_of(st.none(), fracs, st.just(True))),

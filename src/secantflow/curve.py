@@ -51,6 +51,7 @@ from . import series
 from .linalg import integer_kernel
 from .errors import (
     EvenDegreeError,
+    Frozen,
     GenusTooSmallError,
     NonSquarefreeError,
     PoleAtPointError,
@@ -74,14 +75,6 @@ class CurvePoint(Value):
     x: Fraction | None = None
     y: Fraction | None = None
 
-    def __init__(self, at_infinity, x=None, y=None):
-        object.__setattr__(self, "__dict__",
-                           {"at_infinity": at_infinity, "x": x, "y": y})
-
-    @classmethod
-    def infinity(cls) -> CurvePoint:
-        return cls(True)
-
     @classmethod
     def affine(cls, x0: Scalar, y0: Scalar) -> CurvePoint:
         return cls(False, _frac(x0), _frac(y0))
@@ -103,17 +96,17 @@ class CurvePoint(Value):
         return f"CurvePoint({self.x}, {self.y})"
 
 
-INF = CurvePoint.infinity()
+INF = CurvePoint(True)
 
 
 class HyperellipticCurve(Value):
     """The curve y^2 = f(x), f squarefree of odd degree 2g+1 >= 5."""
 
     f: Poly
-    genus: int
 
-    def weierstrass_degree(self) -> int:
-        return self.f.degree
+    @property
+    def genus(self) -> int:
+        return (self.f.degree - 1) // 2
 
     def is_on_curve(self, x0: Scalar, y0: Scalar) -> bool:
         x0, y0 = _frac(x0), _frac(y0)
@@ -200,7 +193,7 @@ def make_curve(coeffs: Iterable[Scalar]) -> HyperellipticCurve:
         raise GenusTooSmallError(f"deg f = {f.degree} < 5 gives genus < 2")
     if not f.is_squarefree():
         raise NonSquarefreeError("f has a repeated root")
-    return HyperellipticCurve(f, (f.degree - 1) // 2)
+    return HyperellipticCurve(f)
 
 
 _STANDARD_F = {
@@ -226,12 +219,12 @@ def standard_curve(g: int) -> HyperellipticCurve:
 # divisors
 # ---------------------------------------------------------------------------
 
-class Divisor:
+class Divisor(Frozen):
     """A finite formal Z-combination of curve points.
 
-    Immutable; zero multiplicities are dropped.  A dict from point to
-    multiplicity is the one representation: ``coeff``, equality and the
-    arithmetic read it.  The point order (by ``CurvePoint.sort_key``) is
+    Immutable; multiplicities are ints, and zeros are dropped.  A dict
+    from point to multiplicity is the one representation: ``coeff``,
+    equality and the arithmetic read it.  The point order (by ``CurvePoint.sort_key``) is
     derived on the first ``items()``, hash or repr and kept.
     """
 
@@ -242,7 +235,9 @@ class Divisor:
             coeffs = coeffs.items()
         acc: dict[CurvePoint, int] = {}
         for p, m in coeffs:
-            acc[p] = acc.get(p, 0) + int(m)
+            if type(m) is not int:
+                raise TypeError(f"multiplicity {m!r} is not an int")
+            acc[p] = acc.get(p, 0) + m
         self._fill(acc)
 
     @classmethod
@@ -257,9 +252,6 @@ class Divisor:
         object.__setattr__(self, "_coeffs", {p: m for p, m in acc.items() if m})
         object.__setattr__(self, "_items", None)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
 
     def __reduce__(self):
         # rebuilt through the constructor: the kept order and hash stay behind
@@ -318,7 +310,9 @@ class Divisor:
         return Divisor._of_dict(acc)
 
     def __mul__(self, k: int) -> Divisor:
-        return Divisor._of_dict({p: int(k * m) for p, m in self._coeffs.items()})
+        if type(k) is not int:
+            raise TypeError(f"scalar {k!r} is not an int")
+        return Divisor._of_dict({p: k * m for p, m in self._coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -377,7 +371,7 @@ def _check_point(curve: HyperellipticCurve, p: CurvePoint) -> None:
 # functions on the curve
 # ---------------------------------------------------------------------------
 
-class CurveFunction:
+class CurveFunction(Frozen):
     """An element (a(x) + b(x) y) / q(x) of the function field.
 
     The representation is canonical: q is monic and gcd(a, b, q) = 1, so
@@ -409,9 +403,6 @@ class CurveFunction:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_norm", None)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CurveFunction is immutable")
 
     def __reduce__(self):
         # rebuilt through the constructor, so the kept hash stays behind
@@ -542,7 +533,7 @@ def valuation(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint) -> int
         if not h.a.is_zero():
             vals.append(-2 * h.a.degree)
         if not h.b.is_zero():
-            vals.append(-2 * h.b.degree - curve.weierstrass_degree())
+            vals.append(-2 * h.b.degree - curve.f.degree)
         return min(vals) + 2 * h.den.degree
     if p.y == 0:
         raise WeierstrassPointError(
@@ -576,12 +567,11 @@ class JetVector(Value):
     """
 
     point: CurvePoint
-    order: int
     values: tuple[Fraction, ...]
 
-    def __init__(self, point, order, values):
-        object.__setattr__(self, "__dict__",
-                           {"point": point, "order": order, "values": values})
+    @property
+    def order(self) -> int:
+        return len(self.values) - 1
 
 
 def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
@@ -616,7 +606,7 @@ def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
         for i in range(1, min(t + 1, len(q))):
             acc -= q[i] * vals[t - i]
         vals.append(acc / q[0])
-    return JetVector(p, order, tuple(vals))
+    return JetVector(p, tuple(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +617,11 @@ class SectionSpace(Value):
     """L(D) = {h : div(h) + D >= 0}, with an exact basis."""
 
     divisor: Divisor
-    dim: int
     basis: tuple[CurveFunction, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
 
 def _fibres(D: Divisor) -> dict[Fraction, dict[CurvePoint, int]]:
@@ -665,7 +658,7 @@ def riemann_roch_space(curve: HyperellipticCurve, D: Divisor) -> SectionSpace:
     SectionSpace
     """
     validate_support(curve, D)
-    w = curve.weierstrass_degree()  # 2g + 1
+    w = curve.f.degree  # 2g + 1
     n_inf = D.inf_coeff
     fibres = _fibres(D)
 
@@ -689,7 +682,7 @@ def riemann_roch_space(curve: HyperellipticCurve, D: Divisor) -> SectionSpace:
     nb = b_max + 1
     ncand = na + nb
     if ncand == 0:
-        return SectionSpace(D, 0, ())
+        return SectionSpace(D, ())
 
     rows: list[list[int]] = []
     for p, r in conditions:
@@ -701,7 +694,7 @@ def riemann_roch_space(curve: HyperellipticCurve, D: Divisor) -> SectionSpace:
         a = Poly.from_numerators(v[:na], lead)
         b = Poly.from_numerators(v[na:], lead)
         basis.append(CurveFunction(curve, a, b, q))
-    space = SectionSpace(D, len(basis), tuple(basis))
+    space = SectionSpace(D, tuple(basis))
     _certify_section_space(curve, space)
     return space
 

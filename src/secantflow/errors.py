@@ -1,4 +1,4 @@
-"""Exception hierarchy, the invariant check and the immutable value type.
+"""Exception hierarchy, the invariant check and the immutable base classes.
 
 Every failure path raises a subclass of :class:`SecantflowError` that names
 the violated rule; ``module`` records which part of the package owns the
@@ -30,7 +30,19 @@ def invariant(ok: bool, message: str, *args) -> None:
 
 
 class FrozenValueError(AttributeError):
-    """An assignment to, or a deletion of, a field of a Value."""
+    """An assignment to, or a deletion of, an attribute of a Frozen."""
+
+
+class Frozen:
+    """Base class of the package's immutable objects."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenValueError(f"cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenValueError(f"cannot delete {name!r}")
 
 
 def _getter(names):
@@ -39,29 +51,37 @@ def _getter(names):
     return get if len(names) > 1 else lambda d: (get(d),)
 
 
-class Value:
+class Value(Frozen):
     """Base class of the package's immutable values.
 
     A subclass's annotations, in order, are its fields, and a class
-    attribute of the same name is a field's default; the fields named in
-    ``hidden`` take no part in equality, hashing or the repr.  Each
-    subclass is given plain functions, not generated code: ``__init__``
-    (by position or keyword, then ``__post_init__`` if the class has one),
-    ``__eq__`` within the class, ``__hash__`` (the hash of the tuple of
-    compared fields, computed on first use and kept: values key caches)
-    and ``__reduce__`` (through the constructor, so a kept hash, which may
-    mix in per-process string hashes, never crosses a process).  A class's
-    own definitions win: the values built in bulk spell out ``__init__``
-    with a dict display, about 0.4 us cheaper than the generic one.
+    attribute of the same name is a field's default (defaults come last);
+    the fields named in ``hidden`` take no part in equality, hashing or the
+    repr.  What a value derives from its fields is a property, not a field.
+    Each subclass is given plain functions, not generated code, and may
+    not define its own: ``__init__`` (by position or keyword, then
+    ``__post_init__`` if the class has one), ``__eq__`` within the class,
+    ``__hash__`` (the hash of the tuple of compared fields, computed on
+    first use and kept: values key caches) and ``__reduce__`` (through the
+    constructor, so a kept hash, which may mix in per-process string
+    hashes, never crosses a process).
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, hidden=(), **kwargs):
         super().__init_subclass__(**kwargs)
+        own = vars(cls).keys() & {"__init__", "__eq__", "__hash__",
+                                  "__reduce__"}
+        if own:
+            raise TypeError(f"{cls.__name__} may not define {sorted(own)}")
         names = cls._fields = tuple(cls.__annotations__)
         cls._shown = tuple(n for n in names if n not in hidden)
         defaults = {n: vars(cls)[n] for n in names if n in vars(cls)}
+        required, tail = len(names) - len(defaults), tuple(defaults.values())
+        if any(n not in defaults for n in names[required:]):
+            raise TypeError(f"{cls.__name__}: a field without a default "
+                            "follows one with a default")
         n_fields, post = len(names), hasattr(cls, "__post_init__")
         values, key = _getter(names), _getter(cls._shown)
 
@@ -73,8 +93,10 @@ class Value:
             return [given[n] for n in names]
 
         def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != n_fields:
-                args = bind(args, kwargs)
+            if kwargs or not required <= len(args) <= n_fields:
+                args = bind(args, kwargs)  # raises on a bad call
+            elif len(args) < n_fields:
+                args += tail[len(args) - required:]
             object.__setattr__(self, "__dict__", dict(zip(names, args)))
             if post:
                 self.__post_init__()
@@ -95,24 +117,20 @@ class Value:
         def __reduce__(self):
             return cls, values(self.__dict__)
 
-        for fn in (__init__, __eq__, __hash__, __reduce__):
-            if fn.__name__ not in vars(cls):
-                setattr(cls, fn.__name__, fn)
+        cls.__init__, cls.__eq__ = __init__, __eq__
+        cls.__hash__, cls.__reduce__ = __hash__, __reduce__
 
     def __repr__(self):
         shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
         return f"{type(self).__qualname__}({shown})"
 
-    def __setattr__(self, name, value):
-        raise FrozenValueError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenValueError(f"cannot delete field {name!r}")
-
 
 def replace(value: Value, **changes) -> Value:
     """The value with some fields changed, built (and so checked) anew."""
-    return type(value)(**{n: getattr(value, n) for n in value._fields} | changes)
+    args = [changes.pop(n, getattr(value, n)) for n in value._fields]
+    if changes:
+        raise TypeError(f"{type(value).__name__} has no fields {sorted(changes)}")
+    return type(value)(*args)
 
 
 # -- curve ------------------------------------------------------------------

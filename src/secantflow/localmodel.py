@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (NegativeUExponentError, SmoothnessFailureError, Value,
-                     invariant)
+from .errors import (Frozen, NegativeUExponentError, SmoothnessFailureError,
+                     Value, invariant)
 from .polynomials import Scalar, _frac
 
 Key = tuple[int, int, int, int, int]  # (z, eta, u, phi, w) exponents
 
 
-class LocalScalar:
+class LocalScalar(Frozen):
     """A canonical finite sum of monomial terms."""
 
     __slots__ = ("terms",)
@@ -36,9 +36,6 @@ class LocalScalar:
         # terms and w^2 = 0
         object.__setattr__(self, "terms", {
             k: c for k, c in sorted((terms or {}).items()) if c and k[4] < 2})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LocalScalar is immutable")
 
     def __reduce__(self):
         return LocalScalar, (self.terms,)
@@ -150,7 +147,7 @@ class LocalScalar:
     def __eq__(self, other) -> bool:
         if isinstance(other, LocalScalar):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Fraction) or type(other) is int:
             return self == LocalScalar.const(other)
         return NotImplemented
 
@@ -204,7 +201,7 @@ def dbar_eta() -> LocalScalar:
     return LocalScalar.term(1, w=1)
 
 
-class LocalMatrix:
+class LocalMatrix(Frozen):
     """A 2x2 matrix of LocalScalars."""
 
     __slots__ = ("rows",)
@@ -214,9 +211,6 @@ class LocalMatrix:
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("LocalMatrix is 2x2")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LocalMatrix is immutable")
 
     def __reduce__(self):
         return LocalMatrix, (self.rows,)

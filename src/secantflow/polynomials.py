@@ -22,6 +22,8 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import islice
 
+from .errors import Frozen
+
 Scalar = int | Fraction
 
 # rational_roots tests every p/q with p | a0 and q | an (after clearing
@@ -32,7 +34,12 @@ ROOT_SEARCH_MAX_BITS = 20
 
 
 def _frac(c: Scalar) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+    """An int (not a bool) or a Fraction as a Fraction; else TypeError."""
+    if isinstance(c, Fraction):
+        return c
+    if type(c) is not int:
+        raise TypeError(f"a scalar must be an int or a Fraction, got {c!r}")
+    return Fraction(c)
 
 
 _new = object.__new__
@@ -65,7 +72,7 @@ def _raw(nums: tuple[int, ...], den: int) -> Poly:
     return p
 
 
-class Poly:
+class Poly(Frozen):
     """A polynomial ``c0 + c1*x + ... + cn*x**n`` with exact coefficients.
 
     ``numerators`` and ``denominator`` are the canonical integer form:
@@ -82,8 +89,6 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
         den = 1
         if any(type(c) is not int for c in cs):
             # lcm clearing of reduced fractions leaves no common factor
@@ -91,13 +96,12 @@ class Poly:
             cs = [_frac(c) for c in cs]
             den = math.lcm(*(c.denominator for c in cs))
             cs = [c.numerator * (den // c.denominator) for c in cs]
+        while cs and not cs[-1]:
+            cs.pop()
         _set(self, "numerators", tuple(cs))
         _set(self, "denominator", den)
         _set(self, "_coeffs", None)
         _set(self, "_hash", None)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
         # rebuilt from its integers, so the kept view and hash stay behind
@@ -255,7 +259,7 @@ class Poly:
         if isinstance(other, Poly):
             return (self.numerators == other.numerators
                     and self.denominator == other.denominator)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Fraction) or type(other) is int:
             return self == Poly.constant(other)
         return NotImplemented
 

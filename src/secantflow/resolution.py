@@ -44,11 +44,6 @@ class FlowLinePoint(Value):
     witness: Divisor
     phase: Fraction | None = Fraction(0)
 
-    def __init__(self, cls, witness, phase=phase):
-        object.__setattr__(self, "__dict__",
-                           {"cls": cls, "witness": witness, "phase": phase})
-        self.__post_init__()
-
     def __post_init__(self):
         if self.witness.degree < 1:
             raise MalformedInputError("witness must have degree >= 1",
@@ -96,18 +91,10 @@ class CriticalPointData(Value):
     L2_rep: Divisor
     M_rep: Divisor
     phi: CurveFunction
-    d: int
 
-    def __init__(self, L1_rep, L2_rep, M_rep, phi, d):
-        object.__setattr__(self, "__dict__", {
-            "L1_rep": L1_rep, "L2_rep": L2_rep, "M_rep": M_rep, "phi": phi,
-            "d": d})
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.d != self.L1_rep.degree:
-            raise MalformedInputError(
-                f"d = {self.d} but deg L1 = {self.L1_rep.degree}", field="d")
+    @property
+    def d(self) -> int:
+        return self.L1_rep.degree
 
     @property
     def degE(self) -> int:
@@ -134,7 +121,7 @@ class CriticalPointData(Value):
     def twisted(self, D: Divisor) -> CriticalPointData:
         """The witness twist: D moves from L1 to L2, one level per degree."""
         return CriticalPointData(self.L1_rep - D, self.L2_rep + D, self.M_rep,
-                                 self.phi, self.d - D.degree)
+                                 self.phi)
 
 
 def section_order(curve: HyperellipticCurve, data: CriticalPointData,
@@ -193,7 +180,7 @@ def make_critical_point(curve: HyperellipticCurve, L1_rep: Divisor,
                         phi: CurveFunction) -> CriticalPointData:
     """Validated constructor: checks the level is nonminimal and that the
     vanishing divisor of phi as a section is effective."""
-    data = CriticalPointData(L1_rep, L2_rep, M_rep, phi, L1_rep.degree)
+    data = CriticalPointData(L1_rep, L2_rep, M_rep, phi)
     _validate_critical_point(curve, data)
     return data
 

@@ -380,7 +380,10 @@ class StratumResult(Value):
 
     N: int
     witnesses: tuple[Divisor, ...]
-    unique: bool
+
+    @property
+    def unique(self) -> bool:
+        return len(self.witnesses) == 1
 
 
 def pool_divisors(pool, N: int) -> tuple[Divisor, ...]:
@@ -433,5 +436,5 @@ def stratum_search(curve: HyperellipticCurve, pair: BundlePair, e: DualClass,
         hits = [D for D in pool_divisors(pool, N)
                 if plane_membership(e, secant_plane(curve, pair, D))]
         if hits:
-            return StratumResult(N, tuple(hits), len(hits) == 1)
+            return StratumResult(N, tuple(hits))
     return None

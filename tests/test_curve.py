@@ -104,6 +104,22 @@ def test_divisor_canonical_form(g2):
     assert hash(Divisor({p: 1})) == hash(Divisor([(p, 2), (p, -1)]))
 
 
+@pytest.mark.parametrize("m", [Fraction(3, 2), Fraction(2), 1.9, 2.0, True,
+                               "2"])
+def test_divisor_multiplicities_and_scalars_are_ints(g2, m):
+    p = g2.point(0, 2)
+    with pytest.raises(TypeError):
+        Divisor({p: m})
+    with pytest.raises(TypeError):
+        Divisor([(p, 1), (INF, m)])
+    with pytest.raises(TypeError):
+        Divisor({p: 2}) * m
+    with pytest.raises(TypeError):
+        m * Divisor({p: 2})
+    with pytest.raises(TypeError):
+        riemann_roch_space(g2, Divisor({INF: m}))
+
+
 def test_divisor_gcd_lcm(g2):
     p, q = g2.point(0, 2), g2.point(1, 3)
     D1 = Divisor({p: 2, q: 1})

@@ -12,6 +12,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secantflow.curve import CurvePoint
+from secantflow.localmodel import LocalMatrix, LocalScalar
 from secantflow.polynomials import Poly
 
 X = sympy.Symbol("x")
@@ -262,6 +264,24 @@ def test_built_from_integers_or_fractions_alike(p, k):
                   pickle.loads(pickle.dumps(from_ints))):
         assert_canonical(other)
         assert other == p and hash(other) == hash(p)
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5, 1.0, 0.0, "1/2", "0", True, False,
+                               None])
+def test_only_ints_and_fractions_are_scalars(c):
+    for build in (lambda: Poly([c]), lambda: Poly([1, c, 1]),
+                  lambda: Poly([1, c]), lambda: Poly([1]) * c,
+                  lambda: Poly([1]) + c, lambda: Poly([1, 1])(c),
+                  lambda: CurvePoint.affine(c, 1),
+                  lambda: CurvePoint.affine(1, c),
+                  lambda: LocalScalar.const(c),
+                  lambda: LocalScalar.term(c, z=1),
+                  lambda: LocalMatrix(((c, 0), (0, 1)))):
+        with pytest.raises(TypeError):
+            build()
+    # comparing with a non-scalar answers, it does not raise
+    assert (Poly([1]) == c) is False
+    assert (LocalScalar.const(1) == c) is False
 
 
 def test_integer_and_fraction_coefficients_compare_equal():

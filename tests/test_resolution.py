@@ -90,12 +90,6 @@ def test_critical_point_degrees(top):
     assert top.pair().delta == 5
 
 
-def test_level_field_must_match_degree(curve, one):
-    with pytest.raises(MalformedInputError):
-        CriticalPointData(Divisor({INF: 3}), Divisor({INF: -2}),
-                          Divisor({INF: 6}), one, 2)
-
-
 def test_zero_section_rejected(curve):
     zero = CurveFunction(curve, Poly.zero(), Poly.zero())
     with pytest.raises(ZeroSectionError):
@@ -240,7 +234,7 @@ def test_downward_limit_validates_its_top(curve):
     L1, L2, M = Divisor({INF: 3}), Divisor({INF: -2}), Divisor({INF: 8})
     with pytest.raises(MalformedInputError, match="^phi: "):
         make_critical_point(curve, L1, L2, M, phi)
-    raw = CriticalPointData(L1, L2, M, phi, 3)
+    raw = CriticalPointData(L1, L2, M, phi)
     p = curve.point(0, 1)
     x = FlowLinePoint(point_class(curve, raw.pair(), p), Divisor.of_point(p))
     # the twist would gain a double zero at p and hide the pole
@@ -299,14 +293,13 @@ def test_chain_rejects_inconsistent_steps(curve, top, pool):
     chain = enumerate_chains(curve, top, 2, pool)[0]
     x, data = chain.steps[0]
     # wrong arrival level
-    bad = CriticalPointData(data.L1_rep, data.L2_rep, data.M_rep,
-                            data.phi, data.d)
+    bad = CriticalPointData(data.L1_rep, data.L2_rep, data.M_rep, data.phi)
     with pytest.raises(MalformedInputError):
         ChainRecord(top, ((x, bad), (x, bad)))
     # not the witness twist: reuse the top as its own successor
     with pytest.raises(MalformedInputError):
         ChainRecord(top, ((x, CriticalPointData(
-            top.L1_rep, top.L2_rep, top.M_rep, top.phi, top.d)),))
+            top.L1_rep, top.L2_rep, top.M_rep, top.phi)),))
 
 
 def test_with_phases(curve, top, pool):
@@ -480,7 +473,7 @@ def test_canonical_class_is_the_column_sum(curve, criterion_7_runs, run):
             assert x.cls.coords == tuple(sum(row) for row in plane.matrix())
             res = secant.stratum_search(curve, pair, x.cls, tuple(pool),
                                         D.degree)
-            assert res == secant.StratumResult(D.degree, (D,), True)
+            assert res == secant.StratumResult(D.degree, (D,)) and res.unique
             edges += 1
     assert edges > 0
 
@@ -489,7 +482,7 @@ def test_canonical_class_is_the_column_sum(curve, criterion_7_runs, run):
 def test_canonical_class_checks_its_witness(monkeypatch, curve, top, pool,
                                             found):
     D = Divisor.of_point(pool[0])
-    other = secant.StratumResult(1, (Divisor.of_point(pool[1]),), True)
+    other = secant.StratumResult(1, (Divisor.of_point(pool[1]),))
     monkeypatch.setattr(resolution, "stratum_search", lambda *args: (
         None if found == "nothing" else other))
     with pytest.raises(DegenerateRankError):

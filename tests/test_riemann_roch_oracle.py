@@ -24,7 +24,7 @@ from secantflow.curve import _y_series_cached
 
 
 def reference_basis(curve, D: Divisor) -> tuple[CurveFunction, ...]:
-    w = curve.weierstrass_degree()
+    w = curve.f.degree
     fibres: dict = {}
     for p, m in D.affine_items():
         fibres.setdefault(p.x, {})[p.y] = m

@@ -326,7 +326,8 @@ def test_stratum_of_point_class(g2, pair, pts):
     pool = list(pts.values())
     res = stratum_membership(g2, pair, point_class(g2, pair, pts["p"]),
                              pool, 3)
-    assert res == StratumResult(1, (Divisor.of_point(pts["p"]),), True)
+    assert res == StratumResult(1, (Divisor.of_point(pts["p"]),))
+    assert res.unique
 
 
 def test_stratum_of_a_chord_class(g2, pair, pts):

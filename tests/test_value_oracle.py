@@ -107,17 +107,17 @@ steps = st.builds(lambda D, right, phase: (
 FIELDS = {
     "CurvePoint": (st.booleans(), st.one_of(st.none(), fracs),
                    st.one_of(st.none(), fracs)),
-    "HyperellipticCurve": (polys, small),
-    "JetVector": (points, small, coords),
-    "SectionSpace": (divisors, small, st.tuples(functions)),
+    "HyperellipticCurve": (polys,),
+    "JetVector": (points, coords),
+    "SectionSpace": (divisors, st.tuples(functions)),
     "BundlePair": (ints, ints, ints, divisors, divisors, divisors),
     "DualClass": (st.one_of(coords, st.tuples(st.booleans(), fracs),
                             st.just((0, 0))),),
     "SecantPlane": (st.just(G2), pairs, effective, rows, int_rows),
-    "StratumResult": (small, st.tuples(effective), st.booleans()),
+    "StratumResult": (small, st.tuples(effective)),
     "FlowLinePoint": (dual, divisors,
                       st.one_of(st.none(), fracs, st.just(True))),
-    "CriticalPointData": (divisors, divisors, divisors, functions, ints),
+    "CriticalPointData": (divisors, divisors, divisors, functions),
     "ChainRecord": (st.just(TOP), st.lists(steps, max_size=2).map(tuple)),
     "CommutingReport": (small, small, small, small),
     "ModuliParams": (ints, ints, ints, st.booleans()),
@@ -141,9 +141,6 @@ def _bundle_args(L2, E, k):
 ARGS = {
     "BundlePair": st.builds(_bundle_args, divisors, effective,
                             st.integers(0, 2)),
-    "CriticalPointData": st.builds(lambda L1, L2, M, phi: (L1, L2, M, phi,
-                                                           L1.degree),
-                                   divisors, divisors, divisors, functions),
     "FlowLinePoint": st.tuples(dual, effective,
                                st.sampled_from([Fraction(0), Fraction(2, 3)])),
     "ChainRecord": st.tuples(st.just(TOP), st.tuples(steps)),

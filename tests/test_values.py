@@ -1,5 +1,6 @@
-"""Immutable values: a hash computed once keeps its value, and copying or
-pickling rebuilds the value through its constructor.
+"""Immutable values: a hash computed once keeps its value, copying or
+pickling rebuilds the value through its constructor, and no attribute can
+be assigned or deleted.
 
 A kept hash must never cross a process: string hashes are seeded per
 process, and in CPython 3.11 so is hash(None), which every point at
@@ -21,11 +22,13 @@ from hypothesis import strategies as st
 
 import secantflow
 from secantflow import INF, CurvePoint, Divisor, make_curve
+from secantflow.errors import Frozen, FrozenValueError, Value
 
 # Builds one value of each kind; run here and again in a child process.
 VALUES_SRC = """\
 from secantflow import (INF, BundlePair, CurveFunction, Divisor, Poly,
                         make_critical_point, make_curve)
+from secantflow.localmodel import LocalScalar, glued_gauge
 
 def build_values():
     curve = make_curve([1, -1, 0, 0, 0, 1])     # y^2 = x^5 - x + 1
@@ -40,7 +43,10 @@ def build_values():
     return {"Poly": curve.f, "CurvePoint": p, "infinity": INF,
             "HyperellipticCurve": curve, "Divisor": D,
             "BundlePair": pair, "CurveFunction": phi,
-            "CriticalPointData": top}
+            "CriticalPointData": top,
+            "LocalScalar": (LocalScalar.term(3, z=-1, phi=1)
+                            + LocalScalar.const(1)),
+            "LocalMatrix": glued_gauge(2)}
 """
 _ns: dict = {}
 exec(VALUES_SRC, _ns)
@@ -66,15 +72,76 @@ def test_hash_values_are_the_field_hashes():
     assert hash(v["Poly"]) == hash(("Poly", v["Poly"].coeffs))
     assert hash(p) == hash((p.at_infinity, p.x, p.y))
     assert hash(v["infinity"]) == hash((True, None, None))
-    assert hash(curve) == hash((curve.f, curve.genus))
+    assert hash(curve) == hash((curve.f,))
     assert hash(D) == hash(("Divisor", D.items()))
     assert hash(phi) == hash(("CurveFunction", phi.curve, phi.a, phi.b,
                               phi.den))
     assert hash(pair) == hash((pair.d1, pair.d2, pair.m, pair.L1_rep,
                                pair.L2_rep, pair.M_rep))
     top = v["CriticalPointData"]
-    assert hash(top) == hash((top.L1_rep, top.L2_rep, top.M_rep, top.phi,
-                              top.d))
+    assert hash(top) == hash((top.L1_rep, top.L2_rep, top.M_rep, top.phi))
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_no_attribute_can_be_assigned_or_deleted(kind):
+    value = VALUES[kind]
+    before = (copy.deepcopy(value), hash(value))
+    names = getattr(value, "_fields", None) or type(value).__slots__
+    for name in (*names, "no_such_attribute"):
+        with pytest.raises(FrozenValueError):
+            setattr(value, name, None)
+        with pytest.raises(FrozenValueError):
+            delattr(value, name)
+    assert (value, hash(value)) == before
+
+
+def _package_classes():
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("secantflow"):
+            for obj in vars(module).values():
+                if isinstance(obj, type) and obj.__module__ == module.__name__:
+                    yield obj
+
+
+def test_one_base_class_refuses_assignment_and_deletion():
+    immutable = [c for c in _package_classes() if issubclass(c, Frozen)]
+    assert {c.__name__ for c in immutable} >= {
+        "Poly", "Divisor", "CurveFunction", "LocalScalar", "LocalMatrix",
+        "Value", "CurvePoint", "CriticalPointData"}
+    for cls in _package_classes():
+        own = {"__setattr__", "__delattr__"} & vars(cls).keys()
+        assert not own or cls is Frozen, cls
+
+
+def test_no_value_class_defines_its_own_constructor():
+    generic = Value.__subclasses__()[0].__init__.__qualname__
+    assert generic == "Value.__init_subclass__.<locals>.__init__"
+    for cls in Value.__subclasses__():
+        assert cls.__init__.__qualname__ == generic, cls
+    with pytest.raises(TypeError, match="__init__"):
+        class Handmade(Value):
+            a: int
+
+            def __init__(self, a):
+                pass
+
+
+def test_a_required_field_may_not_follow_a_defaulted_one():
+    with pytest.raises(TypeError, match="without a default"):
+        class Unordered(Value):
+            a: int = 0
+            b: int
+
+    class Ordered(Value):
+        a: int
+        b: int = 2
+        c: tuple = ()
+
+    assert Ordered(1) == Ordered(1, 2, ()) == Ordered(a=1)
+    assert Ordered(1, 3).b == 3 and Ordered(1, c=(4,)).c == (4,)
+    for args in ((), (1, 2, (), 4)):
+        with pytest.raises(TypeError):
+            Ordered(*args)
 
 
 CHILD = VALUES_SRC + """

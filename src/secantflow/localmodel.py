@@ -68,11 +68,6 @@ class LocalScalar(Frozen):
             return None
         return min(k[0] for k in self.terms)
 
-    def u_order(self) -> int | None:
-        if not self.terms:
-            return None
-        return min(k[2] for k in self.terms)
-
     def depends_on_eta(self) -> bool:
         return any(k[1] > 0 or k[4] > 0 for k in self.terms)
 

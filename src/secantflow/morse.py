@@ -132,22 +132,6 @@ class StratPoset(Value):
     u: int
     strata: tuple[int, ...]  # 0 (the open stratum) plus levels below u
 
-    def closure_of(self, ell: int) -> tuple[int, ...]:
-        """Strata contained in the closure of stratum ell: all m with
-        ell < m < u."""
-        if ell not in self.strata:
-            raise MorseBoundViolationError(f"{ell} is not a stratum")
-        return tuple(m for m in self.strata if ell < m)
-
-    def leq(self, a: int, b: int) -> bool:
-        """a precedes b in closure order (b lies in closure of a)."""
-        if a not in self.strata or b not in self.strata:
-            raise MorseBoundViolationError("arguments must be strata")
-        return a <= b
-
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.strata, self.strata[1:]))
-
 
 def strat_poset(params: ModuliParams, u: int) -> StratPoset:
     """Stratification of the level-u unstable set: the open stratum 0 and

@@ -10,7 +10,9 @@ by construction, and the section reappears with a double zero along it.
 
 Chains of such steps are the strata of the iterated-blowup picture: the
 paths of one DAG of critical points per query, each node expanded once and
-holding its edges and the number of chains below it.  ``commuting_check``
+holding its edges and the number of chains below it.  A chain record keeps
+its top and its flow-line points; its limits are the successive witness
+twists, derived when read and never stored.  ``commuting_check``
 verifies that projecting to the first secant point commutes with erasing
 the circle phases, together with the exact fibre-counting law of the
 first-step projection.  It checks the top's first-step edges, each
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .curve import (INF, CurveFunction, CurvePoint, Divisor,
                     HyperellipticCurve, valuation,
@@ -256,23 +259,31 @@ def upward_targets(curve: HyperellipticCurve, bottom: CriticalPointData,
 # ---------------------------------------------------------------------------
 
 class ChainRecord(Value):
-    """A broken flow line: the top critical point and the list of
-    (flow-line point, limit critical point) steps."""
+    """A broken flow line: the top critical point and the flow-line
+    points of its steps, in order.  Each step's limit is the witness twist
+    of the one before (``CriticalPointData.twisted``), derived on demand
+    and never stored, so a record cannot contradict itself."""
 
     top: CriticalPointData
-    steps: tuple
+    points: tuple
 
     def __post_init__(self):
-        if not self.steps:
+        if not self.points:
             raise MalformedInputError("a chain needs at least one step",
-                                      field="steps")
-        prev = self.top
-        for x, data in self.steps:  # deg D >= 1: the levels strictly fall
-            if data != prev.twisted(x.witness):
-                raise MalformedInputError(
-                    "step data is not the witness twist of its predecessor",
-                    field="steps")
-            prev = data
+                                      field="points")
+        if not all(isinstance(x, FlowLinePoint) for x in self.points):
+            raise MalformedInputError("every step must be a FlowLinePoint",
+                                      field="points")
+
+    @property
+    def steps(self) -> tuple:
+        """The (flow-line point, limit) pairs, each limit twisted from the
+        one before."""
+        steps, data = [], self.top
+        for x in self.points:
+            data = data.twisted(x.witness)
+            steps.append((x, data))
+        return tuple(steps)
 
     @property
     def bottom(self) -> CriticalPointData:
@@ -280,23 +291,15 @@ class ChainRecord(Value):
 
     @property
     def budget(self) -> int:
-        return self.top.d - self.bottom.d
+        return sum(x.witness.degree for x in self.points)
 
     def witnesses(self) -> list[Divisor]:
-        return [x.witness for x, _ in self.steps]
+        return [x.witness for x in self.points]
 
     def levels(self) -> list[int]:
-        return [data.d for _, data in self.steps]
-
-
-def with_phases(chain: ChainRecord, phases) -> ChainRecord:
-    """The same chain with the given per-step phases."""
-    phases = list(phases)
-    if len(phases) != len(chain.steps):
-        raise MalformedInputError("one phase per step", field="phases")
-    steps = tuple((replace(x, phase=q), data)
-                  for (x, data), q in zip(chain.steps, phases))
-    return ChainRecord(chain.top, steps)
+        """The level reached after each step: deg D >= 1, so they fall."""
+        return [self.top.d - n for n in accumulate(
+            x.witness.degree for x in self.points)]
 
 
 @lru_cache(maxsize=1024)
@@ -388,11 +391,11 @@ def enumerate_chains(curve: HyperellipticCurve, top: CriticalPointData,
     def paths(node: CriticalPointData):
         if node.d == ell:
             yield ()
-        for step in dag[node][0]:
-            for rest in paths(step[1]):
-                yield (step,) + rest
+        for x, limit in dag[node][0]:
+            for rest in paths(limit):
+                yield (x,) + rest
 
-    return [ChainRecord(top, steps) for steps in paths(top)]
+    return [ChainRecord(top, points) for points in paths(top)]
 
 
 # ---------------------------------------------------------------------------
@@ -402,19 +405,18 @@ def enumerate_chains(curve: HyperellipticCurve, top: CriticalPointData,
 def G_map(chain: ChainRecord) -> ChainRecord:
     """Phase erasure, step by step: the product of the circle-bundle
     projections."""
-    return ChainRecord(chain.top,
-                       tuple((x.erased(), data) for x, data in chain.steps))
+    return ChainRecord(chain.top, tuple(x.erased() for x in chain.points))
 
 
 def P_morse(chain: ChainRecord) -> FlowLinePoint:
     """Projection to the first flow line emanating from the top."""
-    return chain.steps[0][0]
+    return chain.points[0]
 
 
 def P_sec(chain: ChainRecord) -> FlowLinePoint:
     """Projection to the first step's secant point: its class and witness,
     phase erased."""
-    return chain.steps[0][0].erased()
+    return chain.points[0].erased()
 
 
 class CommutingReport(Value):
@@ -441,14 +443,14 @@ def commuting_check(curve: HyperellipticCurve, top: CriticalPointData,
     dag = _chain_dag(curve, top, ell, pool)
     commute_failures = 0
     groups: dict = {}
-    for step in dag[top][0]:
-        count = dag[step[1]][1]
-        chain = ChainRecord(top, (step,))
+    for x, limit in dag[top][0]:
+        count = dag[limit][1]
+        chain = ChainRecord(top, (x,))
         first = P_morse(chain)
         if P_sec(G_map(chain)) != first.erased():
             commute_failures += count
         key = (first.cls, first.witness, first.phase)
-        groups.setdefault(key, [step[1], 0])[1] += count
+        groups.setdefault(key, [limit, 0])[1] += count
     fibre_failures = sum(total != dag[limit][1]
                          for limit, total in groups.values())
     return CommutingReport(dag[top][1], len(groups),

@@ -128,9 +128,6 @@ class DualClass(Value):
         equal to this one, in integers, computed on first use and kept."""
         return tuple(linalg.integral(self.coords))
 
-    def projectively_equal(self, other: DualClass) -> bool:
-        return self.normalized() == other.normalized()
-
 
 class SecantPlane(Value, hidden=("span", "annihilator")):
     """Column span of a witness divisor's jet matrix, with its ambient.

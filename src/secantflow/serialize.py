@@ -245,9 +245,13 @@ def critical_point_from_json(curve: HyperellipticCurve, obj):
         if key not in obj:
             raise MalformedInputError(f'critical point needs "{key}"',
                                       field=key)
+    L1 = divisor_from_json(curve, obj["L1"], field="L1")
+    d = obj.get("d", L1.degree)  # optional: the level deg L1, if given
+    if type(d) is not int or d != L1.degree:
+        raise MalformedInputError(
+            f'"d" must be the integer deg L1 = {L1.degree}', field="d")
     return make_critical_point(
-        curve,
-        divisor_from_json(curve, obj["L1"], field="L1"),
+        curve, L1,
         divisor_from_json(curve, obj["L2"], field="L2"),
         divisor_from_json(curve, obj["M"], field="M"),
         function_from_json(curve, obj["phi"], field="phi"))
@@ -272,11 +276,11 @@ def local_matrix_to_json(m) -> list[list]:
 
 def chain_to_json(chain) -> dict:
     steps = []
-    for x, data in chain.steps:
+    for x, d in zip(chain.points, chain.levels()):
         steps.append({
             "witness": divisor_to_json(x.witness),
             "class": class_to_json(x.cls),
             "phase": None if x.phase is None else frac_to_str(x.phase),
-            "critical_d": data.d,
+            "critical_d": d,
         })
     return {"top_d": chain.top.d, "steps": steps}

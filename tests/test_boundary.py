@@ -11,7 +11,8 @@ once, naming the field; so do ``secant-matrix``'s degree flags above the
 same cap, naming the flag.  A listed point (a divisor's ``affine``
 entry, a pool's ``points`` entry) is an affine point of the curve off
 y = 0, distinct from the pool's other points; any other exits 2 naming
-the entry.
+the entry.  A top's optional ``"d"`` other than the integer deg L1 exits
+2 naming ``d``.
 """
 
 from __future__ import annotations
@@ -349,3 +350,36 @@ def test_inadmissible_listed_point_exits_two_naming_it(tmp_path, capsys,
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert out.err.startswith(f"input error [cli]: {field}: "), out.err
+
+
+# a top's "d" is optional; when given it must be its level, deg L1 = 3
+LEVELS = {"other_level": 99, "next_level": 2, "word": "x",
+          "numeric_string": "3", "boolean": True, "float": 3.0,
+          "null": None, "long_bare": BARE}
+
+
+def _chains_with_top(tmp_path, top):
+    args = ["chains", "--ell", "1"]
+    for name, obj in (("curve", {"f": G2}), ("top", top), ("pool", POOL)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj).replace(json.dumps(BARE), LONG))
+        args += [f"--{name}", str(path)]
+    return cli.main(args)
+
+
+@pytest.mark.parametrize("case", sorted(LEVELS))
+def test_top_level_other_than_deg_L1_exits_two(tmp_path, capsys, case):
+    code = _chains_with_top(tmp_path, {**TOP_JSON, "d": LEVELS[case]})
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith('input error [cli]: d: "d" must be the '
+                              "integer deg L1 = 3"), out.err
+
+
+def test_top_level_equal_to_deg_L1_is_read(tmp_path, capsys):
+    outputs = []
+    for top in (TOP_JSON, {**TOP_JSON, "d": 3}):
+        assert _chains_with_top(tmp_path, top) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["top"]["d"] == 3

@@ -45,9 +45,9 @@ from secantflow.errors import (
     WeierstrassPointError,
     WitnessNotMinimalError,
     ZeroSectionError,
+    replace,
 )
 from secantflow import cli, resolution, serialize
-from secantflow.resolution import with_phases
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,13 @@ def top(curve, one):
     # degE = 1, degM = 6; top level u = 3 = d_max
     return make_critical_point(curve, Divisor({INF: 3}), Divisor({INF: -2}),
                                Divisor({INF: 6}), one)
+
+
+def with_phases(chain, phases):
+    """The same chain with the given per-step phases."""
+    points = zip(chain.points, phases, strict=True)
+    return ChainRecord(chain.top,
+                       tuple(replace(x, phase=q) for x, q in points))
 
 
 def class_with_witness(curve, pair, D):
@@ -276,39 +283,43 @@ def test_upward_targets_level_window(curve, one, pool):
 
 # -- chain records -----------------------------------------------------------
 
-def test_chain_bookkeeping(curve, top, pool):
+def test_chain_bookkeeping(curve, top, pool, criterion_7_runs):
     chain = enumerate_chains(curve, top, 2, pool)[0]
     assert chain.budget == 1
     assert chain.bottom.d == 2
     assert chain.levels() == [2]
     assert [w.degree for w in chain.witnesses()] == [1]
+    # the levels and the budget read the points; the limits are derived
+    for run_top, ell, run_pool, expected in criterion_7_runs.values():
+        chains = enumerate_chains(curve, run_top, ell, run_pool)
+        assert len(chains) == expected
+        for c in chains:
+            assert c.levels() == [data.d for _, data in c.steps]
+            assert c.budget == run_top.d - c.bottom.d == run_top.d - ell
+            assert c.bottom == c.steps[-1][1]
+            assert c.witnesses() == [x.witness for x in c.points]
 
 
-def test_chain_requires_steps(top):
-    with pytest.raises(MalformedInputError):
+def test_chain_requires_steps(curve, top, pool):
+    with pytest.raises(MalformedInputError) as err:
         ChainRecord(top, ())
-
-
-def test_chain_rejects_inconsistent_steps(curve, top, pool):
-    chain = enumerate_chains(curve, top, 2, pool)[0]
-    x, data = chain.steps[0]
-    # wrong arrival level
-    bad = CriticalPointData(data.L1_rep, data.L2_rep, data.M_rep, data.phi)
-    with pytest.raises(MalformedInputError):
-        ChainRecord(top, ((x, bad), (x, bad)))
-    # not the witness twist: reuse the top as its own successor
-    with pytest.raises(MalformedInputError):
-        ChainRecord(top, ((x, CriticalPointData(
-            top.L1_rep, top.L2_rep, top.M_rep, top.phi)),))
+    assert err.value.field == "points"
+    # a step is its flow-line point alone, never a (point, limit) pair
+    (step,) = enumerate_chains(curve, top, 2, pool)[0].steps
+    for entry in (step, step[1], None):
+        with pytest.raises(MalformedInputError) as err:
+            ChainRecord(top, (step[0], entry))
+        assert err.value.field == "points"
 
 
 def test_with_phases(curve, top, pool):
     chain = enumerate_chains(curve, top, 1, pool)[0]
-    n = len(chain.steps)
-    phased = with_phases(chain, [Fraction(1, 3)] * n)
-    assert all(x.phase == Fraction(1, 3) for x, _ in phased.steps)
-    with pytest.raises(MalformedInputError):
-        with_phases(chain, [Fraction(0)] * (n + 1))
+    phased = with_phases(chain, [Fraction(1, 3)] * len(chain.points))
+    assert all(x.phase == Fraction(1, 3) for x in phased.points)
+    # a phase moves no limit, and erasing the phases forgets them
+    assert ([data for _, data in phased.steps]
+            == [data for _, data in chain.steps])
+    assert G_map(phased) == G_map(chain) != phased
 
 
 @pytest.mark.parametrize("phase", [0.1, 0.0, True, False, "1/3", 1j])
@@ -317,10 +328,10 @@ def test_phase_must_be_exact(curve, top, pool, phase):
     with pytest.raises(MalformedInputError) as err:
         with_phases(chain, [phase])
     assert err.value.field == "phase"
-    x = chain.steps[0][0]
+    x = chain.points[0]
     with pytest.raises(MalformedInputError):
         FlowLinePoint(x.cls, x.witness, phase)
-    assert with_phases(chain, [0]).steps[0][0].phase == 0
+    assert with_phases(chain, [0]).points[0].phase == 0
 
 
 # -- enumeration -------------------------------------------------------------
@@ -542,8 +553,33 @@ def test_warm_diagram_check_builds_first_steps_only(monkeypatch, curve,
     monkeypatch.setattr(ChainRecord, "__post_init__", counted)
     rep = commuting_check(curve, top, ell, pool)
     assert rep.chains == expected and rep.ok
-    assert all(len(c.steps) == 1 for c in built)
+    assert all(len(c.points) == 1 for c in built)
     assert len(built) <= 2 * rep.first_steps
+
+
+@pytest.mark.parametrize("run", ["budget_1", "budget_2", "budget_3"])
+def test_warm_chain_path_twists_nothing(monkeypatch, curve, criterion_7_runs,
+                                        run):
+    """Records hold points, and levels read witness degrees: on a warm DAG
+    the enumeration, the diagram check and the JSON form twist nothing."""
+    top, ell, pool, expected = criterion_7_runs[run]
+    chain_dag(curve, top, ell, pool)
+    calls = []
+    twist = CriticalPointData.twisted
+
+    def counted(self, D):
+        calls.append(D)
+        return twist(self, D)
+
+    monkeypatch.setattr(CriticalPointData, "twisted", counted)
+    chains = enumerate_chains(curve, top, ell, pool)
+    rep = commuting_check(curve, top, ell, pool)
+    out = [serialize.chain_to_json(c) for c in chains]
+    assert len(out) == rep.chains == expected and rep.ok
+    assert calls == []
+    # reading a record's limits is what twists: once per step
+    chains[-1].steps
+    assert calls == chains[-1].witnesses()
 
 
 @pytest.mark.parametrize("run", ["budget_1", "budget_3"])

@@ -85,7 +85,6 @@ def test_dual_class_must_be_nonzero():
         DualClass((Fraction(0), Fraction(0)))
     e = DualClass((Fraction(2), Fraction(4)))
     assert e.normalized().coords == (Fraction(1), Fraction(2))
-    assert e.projectively_equal(DualClass((Fraction(1), Fraction(2))))
 
 
 def test_integer_dual_class_normalizes_exactly():
@@ -94,8 +93,9 @@ def test_integer_dual_class_normalizes_exactly():
     e = DualClass((0, 2, 4))
     assert e.normalized().coords == (0, 1, 2)
     assert all(isinstance(c, Fraction) for c in e.normalized().coords)
-    assert e.projectively_equal(DualClass((0, Fraction(-1, 3), Fraction(-2, 3))))
-    assert not e.projectively_equal(DualClass((0, 1, 3)))
+    assert e.normalized() == DualClass((0, Fraction(-1, 3),
+                                        Fraction(-2, 3))).normalized()
+    assert e.normalized() != DualClass((0, 1, 3)).normalized()
 
 
 def test_dual_class_keeps_its_integral_coordinates():
@@ -193,7 +193,7 @@ def test_point_class_lies_on_exactly_its_planes(g2, pair, pts):
 def test_conjugate_points_give_independent_classes(g2, pair, pts):
     e = point_class(g2, pair, pts["p"])
     ebar = point_class(g2, pair, pts["pbar"])
-    assert not e.projectively_equal(ebar)
+    assert e.normalized() != ebar.normalized()
 
 
 # -- intersections ----------------------------------------------------------

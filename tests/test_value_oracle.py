@@ -98,11 +98,14 @@ smale_rows = st.builds(morse.SmaleRow, ints, ints, ints, ints)
 pairs = st.one_of(st.just(PAIR),
                   st.builds(secant.BundlePair.at_infinity,
                             st.just(5), st.just(0), st.just(5)))
-# the data a flow line from the top reaches through witness D, or not
-steps = st.builds(lambda D, right, phase: (
-    resolution.FlowLinePoint(secant.DualClass((1, 0)), D, phase),
-    TOP.twisted(D) if right else TOP.twisted(D + D)),
-    effective, st.booleans(), st.sampled_from([Fraction(0), Fraction(1, 2)]))
+flow_points = st.builds(resolution.FlowLinePoint,
+                        st.just(secant.DualClass((1, 0))), effective,
+                        st.sampled_from([Fraction(0), Fraction(1, 2)]))
+# a chain entry: a flow-line point, or something a chain refuses (a
+# (point, limit) pair, a critical point, None)
+chain_entries = st.one_of(
+    flow_points, flow_points.map(lambda x: (x, TOP.twisted(x.witness))),
+    st.sampled_from([TOP, None]))
 
 FIELDS = {
     "CurvePoint": (st.booleans(), st.one_of(st.none(), fracs),
@@ -118,7 +121,8 @@ FIELDS = {
     "FlowLinePoint": (dual, divisors,
                       st.one_of(st.none(), fracs, st.just(True))),
     "CriticalPointData": (divisors, divisors, divisors, functions),
-    "ChainRecord": (st.just(TOP), st.lists(steps, max_size=2).map(tuple)),
+    "ChainRecord": (st.just(TOP),
+                    st.lists(chain_entries, max_size=2).map(tuple)),
     "CommutingReport": (small, small, small, small),
     "ModuliParams": (ints, ints, ints, st.booleans()),
     "CriticalSet": (ints, ints, st.one_of(st.none(), ints), ints,
@@ -143,7 +147,8 @@ ARGS = {
                             st.integers(0, 2)),
     "FlowLinePoint": st.tuples(dual, effective,
                                st.sampled_from([Fraction(0), Fraction(2, 3)])),
-    "ChainRecord": st.tuples(st.just(TOP), st.tuples(steps)),
+    "ChainRecord": st.tuples(st.just(TOP),
+                             st.lists(flow_points, max_size=3).map(tuple)),
 }
 
 

@@ -15,13 +15,16 @@ degree bounds at infinity, and the resulting basis is re-certified before
 it is returned.  Every local computation at an affine point (the integer
 condition rows, the certificate, ``jet``, ``valuation``) reads one
 expansion of y, integers over one denominator certified against y^2 = f
-to the order used, and expands a + b y on it in integers.  The
-certificate checks the bound div(h) + D >= 0 itself,
-not the exact valuation: at infinity by the degree formula above, and at
-an affine place p by an order threshold, namely that a + b y vanishes to
-order v_p(q) - D(p), read off the first terms of its expansion (the norm
-a^2 - b^2 f is never formed); v_p(q) is cross-checked against q's
-truncated Taylor shift.
+to the order used, and expands a + b y on it in integers.  A jet is
+read in a local frame z^frame of a bundle (z = x - x0), so the Taylor
+window of h z^frame takes one integer pass whatever the frame's sign,
+and each of its coefficients is exact: an int where it is integral,
+else a Fraction.  The certificate checks the bound div(h) + D >= 0
+itself, not the exact valuation: at infinity by the degree formula above,
+and at an affine place p by an order threshold, namely that a + b y
+vanishes to order v_p(q) - D(p), read off the first terms of its
+expansion (the norm a^2 - b^2 f is never formed); v_p(q) is
+cross-checked against q's truncated Taylor shift.
 
 Curves, points, divisors and functions are immutable values that key the
 package's caches; each computes its hash once and keeps it.
@@ -225,10 +228,11 @@ class Divisor(Frozen):
     Immutable; multiplicities are ints, and zeros are dropped.  A dict
     from point to multiplicity is the one representation: ``coeff``,
     equality and the arithmetic read it.  The point order (by ``CurvePoint.sort_key``) is
-    derived on the first ``items()``, hash or repr and kept.
+    derived on the first ``items()``, hash or repr and kept, and the degree
+    on its first read.
     """
 
-    __slots__ = ("_coeffs", "_items", "_hash")
+    __slots__ = ("_coeffs", "_items", "_hash", "_degree")
 
     def __init__(self, coeffs: Mapping[CurvePoint, int] | Iterable[tuple[CurvePoint, int]] = ()):
         if isinstance(coeffs, Mapping):
@@ -252,9 +256,11 @@ class Divisor(Frozen):
         object.__setattr__(self, "_coeffs", {p: m for p, m in acc.items() if m})
         object.__setattr__(self, "_items", None)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_degree", None)
 
     def __reduce__(self):
-        # rebuilt through the constructor: the kept order and hash stay behind
+        # rebuilt through the constructor: the kept order, hash and degree
+        # stay behind
         return Divisor, (self._coeffs,)
 
     @classmethod
@@ -286,7 +292,9 @@ class Divisor(Frozen):
 
     @property
     def degree(self) -> int:
-        return sum(self._coeffs.values())
+        if self._degree is None:
+            object.__setattr__(self, "_degree", sum(self._coeffs.values()))
+        return self._degree
 
     def is_effective(self) -> bool:
         return all(m > 0 for m in self._coeffs.values())
@@ -559,15 +567,19 @@ def vanishing_order(curve: HyperellipticCurve, h: CurveFunction,
 
 
 class JetVector(Value):
-    """Taylor coefficients (orders 0..order) of a function at an affine point.
+    """Taylor coefficients (orders 0..order) of a function at an affine
+    point, in a local frame z^frame of a bundle (frame 0: the function's
+    own jet), z = x - x0.
 
-    These coefficients span the same functionals as residues against
-    z^-1..z^-(order+1), up to an invertible antitriangular change, so they
-    are the working representation of dual classes downstream.
+    Every coefficient is exact: an int where it is integral, else a
+    Fraction with denominator > 1.  These coefficients span the same
+    functionals as residues against z^-1..z^-(order+1), up to an
+    invertible antitriangular change, so they are the working
+    representation of dual classes downstream.
     """
 
     point: CurvePoint
-    values: tuple[Fraction, ...]
+    values: tuple[int | Fraction, ...]
 
     @property
     def order(self) -> int:
@@ -575,16 +587,22 @@ class JetVector(Value):
 
 
 def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
-        order: int) -> JetVector:
-    """Jet of h at an affine point to the given order (inclusive).
+        order: int, frame: int = 0) -> JetVector:
+    """Jet of h z^frame at an affine point to the given order (inclusive),
+    z = x - x0: the Taylor window of h read in the local frame z^-frame.
 
     p must be a point of the curve (a precondition).  Raises
-    WeierstrassPointError at y = 0 or infinity (where z = x - x0 is not a
-    parameter), PoleAtPointError when h is not regular at p.
+    WeierstrassPointError at y = 0 or infinity (where z is not a
+    parameter), PoleAtPointError when h z^frame is not regular at p.
 
-    It divides the integer expansion N / S of a + b y by den(x0 + z) =
-    Q / Qd, which vanishes to order v: N's first v terms must be 0, and
-    q_0 c_t = N_(v+t) Qd / S - sum_(i>=1) q_i c_(t-i) with q_i = Q_(v+i).
+    One integer pass: with a + b y = N / S (``_numerator_expansion``) and
+    den(x0 + z) = z^v q(z) / Qd, h z^frame = z^-w N Qd / (S q) for
+    w = v - frame.  N's first w terms must be 0 (else a pole); when w < 0
+    the first -w coefficients are 0.  Past them, with s = max(w, 0),
+    coefficient t is E_t / (S q0^(t+1)) for E_t = N_(s+t) Qd q0^t -
+    sum_(i>=1) q_i q0^(i-1) E_(t-i), all in integers, and one divmod
+    makes it an int when it is integral.  A constant den (which is 1)
+    reads N_(s+t) / S directly.
     """
     if order < 0:
         raise ValueError("jet order must be >= 0")
@@ -594,19 +612,36 @@ def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
         raise WeierstrassPointError(
             f"jets at the Weierstrass point x = {p.x} are not supported")
     v = h.den.root_multiplicity(p.x) if h.den.degree else 0
-    N, S = _numerator_expansion(curve, h, p, order + 1 + v)
-    if any(N[:v]):
-        raise PoleAtPointError(
-            f"pole at {p!r}: the numerator vanishes to order below {v}")
-    Q = h.den.shift(p.x, order + 1 + v)
-    q, Qd = Q.numerators[v:], Q.denominator
-    vals = []
-    for t in range(order + 1):
-        acc = Fraction(N[v + t] * Qd, S)
-        for i in range(1, min(t + 1, len(q))):
-            acc -= q[i] * vals[t - i]
-        vals.append(acc / q[0])
+    w = v - frame
+    zeros = min(max(-w, 0), order + 1)
+    s, n = max(w, 0), order + 1 - zeros
+    vals: list = [0] * zeros
+    if n:
+        N, S = _numerator_expansion(curve, h, p, s + n)
+        if any(N[:s]):
+            raise PoleAtPointError(
+                f"pole at {p!r}: the numerator vanishes to order below {w}")
+        if not h.den.degree:
+            vals += (_exact(c, S) for c in N[s:])
+        else:
+            Q = h.den.shift(p.x, v + n)
+            q, scale = Q.numerators[v:], Q.denominator
+            q0, den = q[0], S * q[0]
+            qs = [c * q0 ** i for i, c in enumerate(q[1:])]  # q_i q0^(i-1)
+            E: list[int] = []
+            for t in range(n):
+                e = N[s + t] * scale - sum(
+                    c * E[t - i] for i, c in enumerate(qs[:t], 1))
+                E.append(e)
+                vals.append(_exact(e, den))
+                scale, den = scale * q0, den * q0
     return JetVector(p, tuple(vals))
+
+
+def _exact(num: int, den: int) -> int | Fraction:
+    """num / den as an int when den divides num, else as a Fraction."""
+    quo, rem = divmod(num, den)
+    return Fraction(num, den) if rem else quo
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,10 @@ class ChainRecord(Value):
     points: tuple
 
     def __post_init__(self):
+        if not isinstance(self.top, CriticalPointData):
+            raise MalformedInputError(
+                f"top must be a CriticalPointData, got {self.top!r}",
+                field="top")
         if not self.points:
             raise MalformedInputError("a chain needs at least one step",
                                       field="points")

@@ -9,12 +9,13 @@ at p through order k-1.  Residue functionals against z^-1..z^-k span the
 same block, so ranks computed from jets are the ones the geometry dictates.
 
 Each point's jets are computed once per pair, up to order d1 - d2 - 2,
-the most any witness inside the degree bound needs, and kept as exact
-Fraction columns; a witness reads its columns off those blocks, and a
-plane is the value of (curve, pair, witness).  Every query goes through
-a plane's annihilator, the primitive integer rows spanning the jet
-matrix's left kernel: a class lies on the plane when it pairs to zero
-with every row, and two planes meet in dimension n - rank of their
+the most any witness inside the degree bound needs, in the twist's local
+frame at the point (one ``jet`` call per section), and kept as exact
+columns, ints where integral; a witness reads its columns off those
+blocks, and a plane is the value of (curve, pair, witness).  Every query
+goes through a plane's annihilator, the primitive integer rows spanning
+the jet matrix's left kernel: a class lies on the plane when it pairs to
+zero with every row, and two planes meet in dimension n - rank of their
 stacked annihilators.  The planes are nested, the plane of D inside the
 plane of D + p (the flag behind Bertram's resolution of secant
 varieties: A. Bertram, "Moduli of rank-2 vector bundles, theta divisors,
@@ -39,7 +40,6 @@ from operator import mul
 
 from . import linalg
 from .curve import (
-    CurveFunction,
     Divisor,
     HyperellipticCurve,
     INF,
@@ -48,7 +48,6 @@ from .curve import (
     riemann_roch_space,
     validate_support,
 )
-from .polynomials import Poly
 from .errors import (
     BasisPoleCollisionError,
     BoundViolationError,
@@ -132,8 +131,9 @@ class DualClass(Value):
 class SecantPlane(Value, hidden=("span", "annihilator")):
     """Column span of a witness divisor's jet matrix, with its ambient.
 
-    ``span`` holds the n x N jet matrix as Fraction rows; ``annihilator``
-    holds primitive integer rows spanning the matrix's left kernel,
+    ``span`` holds the n x N jet matrix as exact rows (ints where
+    integral, else Fractions); ``annihilator`` holds primitive integer
+    rows spanning the matrix's left kernel,
     n - N of them: by duality the sections of the twist vanishing on the
     witness, so a class lies on the plane exactly when every row pairs to
     zero with it.  The annihilator comes from the same rank-one update of
@@ -147,7 +147,7 @@ class SecantPlane(Value, hidden=("span", "annihilator")):
     curve: HyperellipticCurve
     pair: BundlePair
     witness: Divisor
-    span: tuple[tuple[Fraction, ...], ...]  # rows
+    span: tuple[tuple[int | Fraction, ...], ...]  # rows
     annihilator: tuple[tuple[int, ...], ...]
 
     @property
@@ -158,7 +158,7 @@ class SecantPlane(Value, hidden=("span", "annihilator")):
     def rank(self) -> int:
         return self.witness.degree
 
-    def matrix(self) -> list[list[Fraction]]:
+    def matrix(self) -> list[list[int | Fraction]]:
         return [list(row) for row in self.span]
 
 
@@ -178,7 +178,7 @@ def twist_section_space(curve: HyperellipticCurve, pair: BundlePair) -> SectionS
 @lru_cache(maxsize=1024)
 def _jet_block(curve: HyperellipticCurve, pair: BundlePair, point, order: int):
     """Columns (orders 0..order-1) of the jet block at one point, as a
-    tuple of exact Fraction columns.
+    tuple of exact columns: ints where integral, else Fractions.
 
     Callers ask for max(mult, d1 - d2 - 1) orders and slice (see
     ``_witness_columns``): the jets through order k are a prefix of the
@@ -189,34 +189,27 @@ def _jet_block(curve: HyperellipticCurve, pair: BundlePair, point, order: int):
     Jets are taken in a local frame of the twist bundle: when the
     representative divisor L1 - L2 + K carries the point with
     coefficient c, the frame is (x - x0)^(-c) and the jet of a section
-    h is the Taylor window of h * (x - x0)^c.  For c <= 0 that window is
-    read off h's own jet from order -c on; for representatives supported
-    away from the point (c = 0) it is the plain function jet of h.
+    h is the Taylor window of h * (x - x0)^c, one ``jet`` call per basis
+    element whatever the sign of c; for representatives supported away
+    from the point (c = 0) it is the plain function jet of h.
     """
     space = twist_section_space(curve, pair)
     c = space.divisor.coeff(point)
     try:
-        if c > 0:
-            shift = CurveFunction(
-                curve, Poly.linear_root(point.x) ** c, Poly.zero())
-            jets = [jet(curve, h * shift, point, order - 1).values
-                    for h in space.basis]
-        else:
-            jets = [jet(curve, h, point, order - 1 - c).values[-c:]
-                    for h in space.basis]
+        jets = [jet(curve, h, point, order - 1, c).values
+                for h in space.basis]
     except PoleAtPointError as exc:
         raise BasisPoleCollisionError(
             f"a section basis element has a pole at ({point.x}, {point.y}); "
             "choose representatives supported away from the witness") from exc
-    return tuple(tuple(jets[i][k] for i in range(space.dim))
-                 for k in range(order))
+    return tuple(zip(*jets))
 
 
 def _witness_columns(curve: HyperellipticCurve, pair: BundlePair,
-                     D: Divisor) -> list[tuple[Fraction, ...]]:
+                     D: Divisor) -> list[tuple[int | Fraction, ...]]:
     """The jet columns of D, block by block in point order, sliced from
     each point's one jet block."""
-    cols: list[tuple[Fraction, ...]] = []
+    cols: list[tuple[int | Fraction, ...]] = []
     for p, mult in D.items():
         cols += _jet_block(curve, pair, p, max(mult, pair.delta - 1))[:mult]
     return cols
@@ -236,7 +229,7 @@ def _validate_witness(curve: HyperellipticCurve, D: Divisor) -> None:
 
 
 def embedding_matrix(curve: HyperellipticCurve, pair: BundlePair,
-                     D: Divisor) -> list[list[Fraction]]:
+                     D: Divisor) -> list[list[int | Fraction]]:
     """The n x N jet matrix of D: column block at p holds jets of the
     section basis through order mult(p) - 1.
 

@@ -334,6 +334,15 @@ def test_phase_must_be_exact(curve, top, pool, phase):
     assert with_phases(chain, [0]).points[0].phase == 0
 
 
+
+@pytest.mark.parametrize("bad", [None, 4, "top"])
+def test_chain_top_must_be_a_critical_point(curve, top, pool, bad):
+    x = enumerate_chains(curve, top, 2, pool)[0].points[0]
+    with pytest.raises(MalformedInputError) as err:
+        ChainRecord(bad, (x,))
+    assert err.value.field == "top"
+    assert ChainRecord(top, (x,)).levels() == [top.d - x.witness.degree]
+
 # -- enumeration -------------------------------------------------------------
 
 def test_enumerate_budget_one(curve, top, pool):

@@ -546,21 +546,29 @@ def _sympy_y(x0: Fraction, y0: Fraction):
                                ORACLE_Y_ORDER).removeO())
 
 
-def _sympy_jet(h: CurveFunction, p, n: int) -> list[Fraction] | None:
-    """The first n terms of (a + b y)/q at p in z = x - x0, or None when
-    it has a pole there."""
+def _sympy_jet(h: CurveFunction, p, n: int,
+               frame: int = 0) -> list[Fraction] | None:
+    """The first n terms of (a + b y)/q times z^frame at p in z = x - x0,
+    or None when that has a pole there."""
     a, b, q = (_sympy_shift(e, p.x) for e in (h.a, h.b, h.den))
     v = min(k for (k,) in q.monoms())
-    assert n + v <= ORACLE_Y_ORDER
-    num = a + rs_mul(b, _sympy_y(p.x, p.y), Z, n + v)
+    w = max(v - frame, 0)  # the numerator's terms that must vanish
+    assert n + w <= ORACLE_Y_ORDER
+    num = a + rs_mul(b, _sympy_y(p.x, p.y), Z, n + w)
+    num *= Z ** max(frame - v, 0)
     terms = dict(num.terms())
-    if any(terms.get((k,), 0) for k in range(v)):
+    if any(terms.get((k,), 0) for k in range(w)):
         return None
-    quo = rs_mul(num.quo(Z ** v), rs_series_inversion(q.quo(Z ** v), Z, n),
+    quo = rs_mul(num.quo(Z ** w), rs_series_inversion(q.quo(Z ** v), Z, n),
                  Z, n)
     terms = dict(quo.terms())
     return [Fraction(int(c.numerator), int(c.denominator))
             for c in (terms.get((k,), 0) for k in range(n))]
+
+
+def _is_exact(x) -> bool:
+    """The exact-entry rule: an int, or a Fraction that is not one."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 @given(st.data())
@@ -581,7 +589,7 @@ def test_jet_blocks_slice_and_clear_exactly(data):
         for k in range(1, delta):
             assert cols[:k] == secant._jet_block.__wrapped__(
                 curve, pair, p, k)
-        assert all(type(x) is Fraction for col in cols for x in col)
+        assert all(_is_exact(x) for col in cols for x in col)
         # every basis element, with a denominator or without; a pole at p
         # raises
         for f in (h, *basis):
@@ -593,7 +601,7 @@ def test_jet_blocks_slice_and_clear_exactly(data):
                 continue
             got = jet(curve, f, p, n).values
             assert list(got) == ref
-            assert all(type(x) is Fraction for x in got)
+            assert all(_is_exact(x) for x in got)
 
     N = data.draw(st.integers(1, delta - 1))
     idx = data.draw(st.lists(st.integers(0, len(pool) - 1),
@@ -601,6 +609,90 @@ def test_jet_blocks_slice_and_clear_exactly(data):
     plane = secant_plane(curve, pair, Divisor([(pool[i], 1) for i in idx]))
     assert plane.annihilator == tuple(map(tuple, linalg.integer_kernel(
         linalg.transpose(plane.span))))
+
+
+small_nonzero_polys = st.lists(small_fracs, min_size=1, max_size=3).map(
+    Poly).filter(lambda r: not r.is_zero())
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_framed_jets_agree_with_sympy(data):
+    # h z^frame for a denominator with a root of order k at x0 (fewer once
+    # h is in lowest terms): answered while the pole's order is at most
+    # the frame, PoleAtPointError past it
+    curve = ORACLE_CURVE
+    p = data.draw(st.sampled_from(ORACLE_POINTS))
+    frame = data.draw(st.integers(-3, 3))
+    order = data.draw(st.integers(0, 3))
+    den = (Poly.linear_root(p.x) ** data.draw(st.integers(0, 3))
+           * data.draw(small_nonzero_polys))
+    h = CurveFunction(curve, data.draw(small_polys), data.draw(small_polys),
+                      den)
+    ref = _sympy_jet(h, p, order + 1, frame)
+    if ref is None:
+        with pytest.raises(PoleAtPointError):
+            jet(curve, h, p, order, frame)
+        return
+    got = jet(curve, h, p, order, frame)
+    assert got.point == p and list(got.values) == ref
+    assert all(_is_exact(x) for x in got.values)
+    if frame == 0:
+        assert got == jet(curve, h, p, order)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_framed_jet_answers_poles_up_to_its_frame(k):
+    # y / z^k has a pole of order exactly k at every point of the pool
+    curve = ORACLE_CURVE
+    for p in ORACLE_POINTS:
+        h = CurveFunction(curve, Poly.zero(), Poly.one(),
+                          Poly.linear_root(p.x) ** k)
+        for frame in range(-3, 4):
+            if frame < k:
+                with pytest.raises(PoleAtPointError):
+                    jet(curve, h, p, 3, frame)
+                continue
+            got = jet(curve, h, p, 3, frame).values
+            assert list(got) == _sympy_jet(h, p, 4, frame)
+            assert got[:frame - k] == (0,) * min(frame - k, 4)
+            if frame - k < 4:
+                assert got[frame - k] == p.y
+
+
+def _old_jet_block(curve, pair, point, order):
+    """The jet block without frames, the oracle: the jets of the product
+    h (x - x0)^c for c > 0, a window of h's own longer jet for c <= 0."""
+    space = twist_section_space(curve, pair)
+    c = space.divisor.coeff(point)
+    if c > 0:
+        shift = CurveFunction(curve, Poly.linear_root(point.x) ** c,
+                              Poly.zero())
+        jets = [jet(curve, h * shift, point, order - 1).values
+                for h in space.basis]
+    else:
+        jets = [jet(curve, h, point, order - 1 - c).values[-c:]
+                for h in space.basis]
+    return tuple(tuple(j[k] for j in jets) for k in range(order))
+
+
+@pytest.mark.parametrize("style", range(3))
+def test_jet_block_is_the_old_construction(style):
+    curve, pool = ORACLE_CURVE, ORACLE_POOL
+    seen = set()
+    for delta in (5, 6, 7):
+        pair = BundlePair(delta, 0, delta,
+                          _l1_styles(pool[0], pool[1])[style](delta),
+                          Divisor.zero(), Divisor({INF: delta}))
+        divisor = twist_section_space(curve, pair).divisor
+        for p in ORACLE_POINTS:
+            seen.add((divisor.coeff(p) > 0) - (divisor.coeff(p) < 0))
+            for order in (1, delta - 1):
+                block = secant._jet_block.__wrapped__(curve, pair, p, order)
+                assert block == _old_jet_block(curve, pair, p, order)
+                assert all(_is_exact(x) for col in block for x in col)
+    # the three styles reach every sign of the twist's coefficient
+    assert seen == ({0} if style == 0 else {-1, 0} if style == 2 else {0, 1})
 
 
 @given(st.data())
@@ -647,7 +739,7 @@ def test_plane_matrix_embedding_matrix_and_point_class_agree(data):
     plane = secant_plane(curve, pair, D)
     mat = plane.matrix()
     assert mat == embedding_matrix(curve, pair, D)
-    assert all(type(x) is Fraction for row in mat for x in row)
+    assert all(_is_exact(x) for row in mat for x in row)
     start = 0
     for p, mult in D.items():
         assert [row[start] for row in mat] == list(

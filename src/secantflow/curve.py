@@ -228,11 +228,10 @@ class Divisor(Frozen):
     Immutable; multiplicities are ints, and zeros are dropped.  A dict
     from point to multiplicity is the one representation: ``coeff``,
     equality and the arithmetic read it.  The point order (by ``CurvePoint.sort_key``) is
-    derived on the first ``items()``, hash or repr and kept, and the degree
-    on its first read.
+    derived on the first ``items()``, hash or repr and kept.
     """
 
-    __slots__ = ("_coeffs", "_items", "_hash", "_degree")
+    __slots__ = ("_coeffs", "_items", "_hash")
 
     def __init__(self, coeffs: Mapping[CurvePoint, int] | Iterable[tuple[CurvePoint, int]] = ()):
         if isinstance(coeffs, Mapping):
@@ -256,11 +255,9 @@ class Divisor(Frozen):
         object.__setattr__(self, "_coeffs", {p: m for p, m in acc.items() if m})
         object.__setattr__(self, "_items", None)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_degree", None)
 
     def __reduce__(self):
-        # rebuilt through the constructor: the kept order, hash and degree
-        # stay behind
+        # rebuilt through the constructor: the kept order and hash stay behind
         return Divisor, (self._coeffs,)
 
     @classmethod
@@ -292,9 +289,7 @@ class Divisor(Frozen):
 
     @property
     def degree(self) -> int:
-        if self._degree is None:
-            object.__setattr__(self, "_degree", sum(self._coeffs.values()))
-        return self._degree
+        return sum(self._coeffs.values())
 
     def is_effective(self) -> bool:
         return all(m > 0 for m in self._coeffs.values())
@@ -601,8 +596,7 @@ def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
     the first -w coefficients are 0.  Past them, with s = max(w, 0),
     coefficient t is E_t / (S q0^(t+1)) for E_t = N_(s+t) Qd q0^t -
     sum_(i>=1) q_i q0^(i-1) E_(t-i), all in integers, and one divmod
-    makes it an int when it is integral.  A constant den (which is 1)
-    reads N_(s+t) / S directly.
+    makes it an int when it is integral.
     """
     if order < 0:
         raise ValueError("jet order must be >= 0")
@@ -621,20 +615,17 @@ def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
         if any(N[:s]):
             raise PoleAtPointError(
                 f"pole at {p!r}: the numerator vanishes to order below {w}")
-        if not h.den.degree:
-            vals += (_exact(c, S) for c in N[s:])
-        else:
-            Q = h.den.shift(p.x, v + n)
-            q, scale = Q.numerators[v:], Q.denominator
-            q0, den = q[0], S * q[0]
-            qs = [c * q0 ** i for i, c in enumerate(q[1:])]  # q_i q0^(i-1)
-            E: list[int] = []
-            for t in range(n):
-                e = N[s + t] * scale - sum(
-                    c * E[t - i] for i, c in enumerate(qs[:t], 1))
-                E.append(e)
-                vals.append(_exact(e, den))
-                scale, den = scale * q0, den * q0
+        Q = h.den.shift(p.x, v + n)
+        q, scale = Q.numerators[v:], Q.denominator
+        q0, den = q[0], S * q[0]
+        qs = [c * q0 ** i for i, c in enumerate(q[1:])]  # q_i q0^(i-1)
+        E: list[int] = []
+        for t in range(n):
+            e = N[s + t] * scale - sum(
+                c * E[t - i] for i, c in enumerate(qs[:t], 1))
+            E.append(e)
+            vals.append(_exact(e, den))
+            scale, den = scale * q0, den * q0
     return JetVector(p, tuple(vals))
 
 

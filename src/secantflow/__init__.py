@@ -16,7 +16,6 @@ from .curve import (  # noqa: F401
     INF,
     JetVector,
     SectionSpace,
-    h0_dim,
     h1_dim,
     jet,
     make_curve,

@@ -158,6 +158,8 @@ def cmd_secant_matrix(args) -> int:
 
 def cmd_local_model(args) -> int:
     m = args.m
+    if m < 1:
+        raise MalformedInputError(f"must be at least 1, got {m}", field="--m")
     g1, g2 = gauge_factors(m)
     smooth = product_smoothness(m)
     conj = conjugated_higgs(m)

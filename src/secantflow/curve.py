@@ -827,10 +827,6 @@ def _root_order(den: Poly, x0: Fraction) -> int:
     return v
 
 
-def h0_dim(curve: HyperellipticCurve, D: Divisor) -> int:
-    return riemann_roch_space(curve, D).dim
-
-
 def h1_dim(curve: HyperellipticCurve, D: Divisor) -> int:
     """dim H^1(O(D)), computed as dim L(K - D) by duality."""
     return riemann_roch_space(curve, curve.canonical_divisor() - D).dim

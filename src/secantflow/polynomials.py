@@ -8,11 +8,11 @@ scalar and polynomial products, evaluation, the Taylor shift, root
 multiplicity, division with remainder, the gcd) runs on those integers.
 Nothing in here, or in any module built on top, touches floating point.
 
-``coeffs``, the coefficients as ``fractions.Fraction``s, is a view built on
-first use and kept; the interface (indexing, iteration, ``leading``,
-evaluation) still speaks in Fractions.  Polynomials are immutable and
-hashable, so they can key caches; each computes its hash once and keeps it,
-with the same value as ``hash(("Poly", coeffs))``.
+Those integers are the whole polynomial; Fractions appear only at the
+edges (the constructor takes them, evaluation returns one).  Polynomials are
+immutable and hashable, so they can key caches; each computes its hash once
+and keeps it, with the same value as ``hash(("Poly", numerators,
+denominator))``, which agrees with ``==`` because the form is canonical.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ def _raw(nums: tuple[int, ...], den: int) -> Poly:
     p = _new(Poly)
     _set(p, "numerators", nums)
     _set(p, "denominator", den)
-    _set(p, "_coeffs", None)
     _set(p, "_hash", None)
     return p
 
@@ -85,7 +84,7 @@ class Poly(Frozen):
     4
     """
 
-    __slots__ = ("numerators", "denominator", "_coeffs", "_hash")
+    __slots__ = ("numerators", "denominator", "_hash")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = list(coeffs)
@@ -100,11 +99,10 @@ class Poly(Frozen):
             cs.pop()
         _set(self, "numerators", tuple(cs))
         _set(self, "denominator", den)
-        _set(self, "_coeffs", None)
         _set(self, "_hash", None)
 
     def __reduce__(self):
-        # rebuilt from its integers, so the kept view and hash stay behind
+        # rebuilt from its integers, so the kept hash stays behind
         return _of, (list(self.numerators), self.denominator)
 
     # -- constructors -------------------------------------------------------
@@ -143,34 +141,12 @@ class Poly(Frozen):
     # -- basic queries -------------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, built on first use and kept."""
-        if self._coeffs is None:
-            den = self.denominator
-            _set(self, "_coeffs", tuple(Fraction(c, den)
-                                        for c in self.numerators))
-        return self._coeffs
-
-    @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
         return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
         return not self.numerators
-
-    def __getitem__(self, n: int) -> Fraction:
-        if 0 <= n < len(self.numerators):
-            return self.coeffs[n]
-        return Fraction(0)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.coeffs)
-
-    def leading(self) -> Fraction:
-        if not self.numerators:
-            raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return Fraction(self.numerators[-1], self.denominator)
 
     # -- ring operations -----------------------------------------------------
 
@@ -265,10 +241,8 @@ class Poly(Frozen):
 
     def __hash__(self) -> int:
         if self._hash is None:
-            # hash(Fraction(n)) == hash(n), so over denominator 1 the
-            # numerators hash like the Fraction view
-            key = self.numerators if self.denominator == 1 else self.coeffs
-            _set(self, "_hash", hash(("Poly", key)))
+            _set(self, "_hash", hash(("Poly", self.numerators,
+                                      self.denominator)))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -396,7 +370,8 @@ class Poly(Frozen):
         if self.is_zero():
             return "Poly(0)"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        den = self.denominator
+        for i, c in enumerate(Fraction(n, den) for n in self.numerators):
             if c == 0:
                 continue
             if i == 0:

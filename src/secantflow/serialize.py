@@ -87,15 +87,19 @@ def frac_from_str(s, field: str = "value") -> Fraction:
 
 
 def poly_to_list(p: Poly) -> list[str]:
-    return [frac_to_str(c) for c in p.coeffs]
+    return [frac_to_str(Fraction(n, p.denominator)) for n in p.numerators]
 
 
-def poly_from_list(obj, field: str = "poly") -> Poly:
+def _coeffs_from_list(obj, field: str) -> list[Fraction]:
     if not isinstance(obj, list):
         raise MalformedInputError(
             f"expected a coefficient list, got {obj!r}", field=field)
-    return Poly([frac_from_str(c, field=f"{field}[{i}]")
-                 for i, c in enumerate(obj)])
+    return [frac_from_str(c, field=f"{field}[{i}]")
+            for i, c in enumerate(obj)]
+
+
+def poly_from_list(obj, field: str = "poly") -> Poly:
+    return Poly(_coeffs_from_list(obj, field))
 
 
 def curve_to_json(curve: HyperellipticCurve) -> dict:
@@ -106,7 +110,7 @@ def curve_from_json(obj) -> HyperellipticCurve:
     if not isinstance(obj, dict) or "f" not in obj:
         raise MalformedInputError('curve file needs an "f" coefficient list',
                                   field="f")
-    return make_curve(poly_from_list(obj["f"], field="f").coeffs)
+    return make_curve(_coeffs_from_list(obj["f"], "f"))
 
 
 def point_to_json(p: CurvePoint) -> dict:

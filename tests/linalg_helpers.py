@@ -1,8 +1,9 @@
 """Fraction-vector helpers over ``secantflow.linalg`` for the tests.
 
 The library answers every kernel and span question through
-``linalg.integer_kernel`` and ``linalg.rref``; these are the Fraction
-views the tests state their laws in.
+``linalg.integer_kernel`` and ``linalg.rref``, and holds a polynomial as
+integers over one denominator; these are the Fraction views the tests
+state their laws in.
 """
 
 from __future__ import annotations
@@ -10,8 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from secantflow.linalg import Matrix, Vector, integer_kernel, rref, transpose
+from secantflow.polynomials import Poly
 
 _ZERO = Fraction(0)
+
+
+def poly_coeffs(p: Poly) -> list[Fraction]:
+    """The coefficients of p, low to high, as Fractions."""
+    return [Fraction(n, p.denominator) for n in p.numerators]
 
 
 def nullspace(m: Matrix, cols: int | None = None) -> list[Vector]:

@@ -8,7 +8,8 @@ digits than CPython converts to and from str (bare or quoted), a string
 too long to hold two such numbers, a JSON boolean standing for a number
 and a divisor whose multiplicities weigh more than the cap exit 2 at
 once, naming the field; so do ``secant-matrix``'s degree flags above the
-same cap, naming the flag.  A listed point (a divisor's ``affine``
+same cap and a ``local-model`` modification order below 1, naming the
+flag.  A listed point (a divisor's ``affine``
 entry, a pool's ``points`` entry) is an affine point of the curve off
 y = 0, distinct from the pool's other points; any other exits 2 naming
 the entry.  A top's optional ``"d"`` other than the integer deg L1 exits
@@ -275,6 +276,15 @@ def test_secant_matrix_flags_at_the_cap_are_read(tmp_path, capsys):
     assert _secant_matrix(tmp_path, 1 - W, -W, W) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["rank"] == 2 and len(out["matrix"]) == 2
+
+
+@pytest.mark.parametrize("emit", ["json", "csv"])
+@pytest.mark.parametrize("m", [0, -3])
+def test_local_model_order_below_one_exits_two(capsys, m, emit):
+    code = cli.main(["local-model", "--m", str(m), "--emit", emit])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("input error [cli]: --m: "), out.err
 
 
 # -- listed points ------------------------------------------------------------

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linalg_helpers import poly_coeffs
 from secantflow import (
     INF,
     CurveFunction,
@@ -306,7 +307,8 @@ def test_jet_y_higher_orders_sympy_oracle(g2, g3):
     # expand y = sqrt(f(x0+z)) with sympy and compare through order 5
     for curve, (x0, y0) in ((g2, (0, 2)), (g2, (1, 3)), (g3, (0, 1))):
         z = sympy.Symbol("z")
-        f = sum(int(c) * (x0 + z) ** i for i, c in enumerate(curve.f.coeffs))
+        f = sum(int(c) * (x0 + z) ** i
+                for i, c in enumerate(poly_coeffs(curve.f)))
         ser = sympy.series(sympy.sqrt(f), z, 0, 6).removeO().expand()
         expected = tuple(
             Fraction(*sympy.Rational(ser.coeff(z, k)).as_numer_denom())
@@ -406,7 +408,7 @@ def _sympy_valuation(curve, h, x0: Fraction, y0: Fraction) -> int:
 
     def expr(p):
         return sum((sympy.Rational(c.numerator, c.denominator) * x ** i
-                    for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+                    for i, c in enumerate(poly_coeffs(p))), sympy.Integer(0))
 
     def order(e):
         q, m = sympy.Poly(e, x), 0

@@ -4,7 +4,9 @@
 The expected bytes under ``tests/golden/rr_space`` pin the Riemann-Roch
 bases (their normal form included) for a fixed set of criterion-1
 divisors: negative and non-reduced multiplicities, a conjugate pair over
-one fibre, a space of dimension 0, and a genus-3 curve.  Any change to
+one fibre, a space of dimension 0, a genus-3 curve, and a point with
+non-integral x (the general Taylor path, and polynomials written over a
+denominator other than 1).  Any change to
 how L(D) is computed or normalised must leave these bytes alone.
 
 The bytes under ``tests/golden/secant_matrix`` and ``tests/golden/chains``
@@ -33,6 +35,9 @@ GOLDEN = Path(__file__).parent / "golden"
 G2 = {"f": ["1", "-1", "0", "0", "0", "1"]}              # y^2 = x^5 - x + 1
 G3 = {"f": ["1", "-36", "0", "49", "0", "-14", "0", "1"]}
 # y^2 = 1 + x(x^2 - 1)(x^2 - 4)(x^2 - 9), genus 3
+G2_HALF = {"f": ["31/32", "0", "0", "0", "0", "1"]}
+# y^2 = x^5 + 31/32, through (1/2, 1) and (1/2, -1): the one curve here
+# whose points have a non-integral x
 
 
 def _pt(x, y, mult):
@@ -53,6 +58,9 @@ CASES = {
     "empty_space": (G2, {"inf": -1, "affine": [_pt(1, 1, 1)]}),
     "genus_3": (G3, {"inf": 4, "affine": [_pt(2, 1, 2), _pt(-1, -1, -1),
                                           _pt(3, 1, 1), _pt(3, -1, 1)]}),
+    # den = (x - 1/2)^2, a polynomial over denominator 4
+    "non_integral": (G2_HALF, {"inf": 1, "affine": [_pt("1/2", 1, 2),
+                                                    _pt("1/2", -1, -1)]}),
 }
 
 # (curve, divisor, d1, d2, m)
@@ -63,6 +71,8 @@ SECANT_CASES = {
                        6, 1, 6),
     "genus_3": (G3, {"affine": [_pt(2, 1, 1), _pt(3, -1, 2),
                                 _pt(-1, 1, 1)]}, 6, 0, 6),
+    "non_integral": (G2_HALF, {"affine": [_pt("1/2", 1, 2),
+                                          _pt("1/2", -1, 1)]}, 5, 0, 5),
 }
 
 TOP = {"L1": {"inf": 3, "affine": []}, "L2": {"inf": -2, "affine": []},

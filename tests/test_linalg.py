@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from linalg_helpers import augment, column_span_intersection, matvec, nullspace
 from secantflow import linalg
+from secantflow.errors import InvariantError
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -83,6 +84,31 @@ def test_rref_is_a_multiple_of_sympy_rref(m):
 ], ids=["swaps", "zeros", "deficient", "large-denominators"])
 def test_rref_concrete(m):
     assert_rref_matches_sympy([[Fraction(x) for x in row] for row in m])
+
+
+class _OffByOne(int):
+    """An int whose products and differences stay off-by-one ints and
+    whose (exact) floor division comes out one too high."""
+
+    def __mul__(self, other):
+        return _OffByOne(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return _OffByOne(int(self) - int(other))
+
+    def __floordiv__(self, other):
+        return int(self) // int(other) + 1
+
+
+def test_rref_refuses_a_lost_common_pivot(monkeypatch):
+    """Sylvester's exact divisions come out one too high, so the pivots
+    no longer share one value: the common-pivot invariant must catch it."""
+    monkeypatch.setattr(linalg, "_integral",
+                        lambda v: [_OffByOne(x) for x in v])
+    with pytest.raises(InvariantError, match="common pivot"):
+        linalg.rref([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
 
 
 @given(st.one_of(matrices(), jet_shaped(), jet_shaped().map(

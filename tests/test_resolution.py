@@ -234,6 +234,17 @@ def test_downward_limit_requires_minimal_witness(curve, top, pool):
         downward_limit(curve, top, FlowLinePoint(cls, fat))
 
 
+def test_downward_limit_refuses_a_class_off_the_witness_plane(curve, top,
+                                                              pool):
+    """The class of pool[4] lies on no plane of pool[0] + pool[2], so the
+    drop-one check cannot catch it: the plane check itself must."""
+    pair = top.pair()
+    cls = point_class(curve, pair, pool[4])
+    D = Divisor.of_point(pool[0]) + Divisor.of_point(pool[2])
+    with pytest.raises(WitnessNotMinimalError, match="witness plane"):
+        downward_limit(curve, top, FlowLinePoint(cls, D))
+
+
 def test_downward_limit_validates_its_top(curve):
     # (1 + y)/x = (1 - x^4)/(1 - y) has a pole only at p = (0, 1) (simple)
     # and at infinity (order 3, absorbed by the bundle divisor 3*inf)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sympy.polys.ring_series import rs_mul, rs_series_inversion
 from sympy.polys.rings import ring
 
+from linalg_helpers import poly_coeffs
 from secantflow import (
     INF,
     BundlePair,
@@ -42,6 +43,7 @@ from secantflow.errors import (
     InadmissibleSupportError,
     MalformedInputError,
     PoleAtPointError,
+    replace,
 )
 
 
@@ -256,6 +258,22 @@ def test_rank_law_failure_raises(monkeypatch, g2, pair, pts):
     with pytest.raises(DegenerateRankError, match="rank 1, expected 2"):
         # past the plane cache, so the check runs on this call
         secant_plane.__wrapped__(g2, pair, D)
+
+
+def test_twist_space_of_the_wrong_dimension_raises(monkeypatch, g2, pair):
+    exact = secant.riemann_roch_space
+
+    def short(curve, D):  # L(D) less its last basis element
+        space = exact(curve, D)
+        return replace(space, basis=space.basis[:-1])
+
+    twist_section_space.cache_clear()
+    monkeypatch.setattr(secant, "riemann_roch_space", short)
+    try:
+        with pytest.raises(DegenerateRankError, match="twist space"):
+            twist_section_space(g2, pair)
+    finally:
+        twist_section_space.cache_clear()
 
 
 def _planes_through_p(g2, pair, pts):
@@ -531,7 +549,7 @@ def _sympy_rational(c: Fraction):
 
 def _sympy_shift(p: Poly, x0: Fraction):
     x = sympy.Symbol("x")
-    coeffs = [_sympy_rational(c) for c in reversed(p.coeffs)] or [0]
+    coeffs = [_sympy_rational(c) for c in reversed(poly_coeffs(p))] or [0]
     return Z_RING.from_list(sympy.Poly(coeffs, x).shift(
         _sympy_rational(x0)).all_coeffs())
 
@@ -540,7 +558,7 @@ def _sympy_shift(p: Poly, x0: Fraction):
 def _sympy_y(x0: Fraction, y0: Fraction):
     z = sympy.Symbol("z")
     f = sum(_sympy_rational(c) * (_sympy_rational(x0) + z) ** i
-            for i, c in enumerate(ORACLE_CURVE.f.coeffs))
+            for i, c in enumerate(poly_coeffs(ORACLE_CURVE.f)))
     y0 = _sympy_rational(y0)
     return Z_RING(sympy.series(y0 * sympy.sqrt(f / y0 ** 2), z, 0,
                                ORACLE_Y_ORDER).removeO())

@@ -69,7 +69,8 @@ def test_hash_values_are_the_field_hashes():
     v = VALUES
     p, curve, D = v["CurvePoint"], v["HyperellipticCurve"], v["Divisor"]
     phi, pair = v["CurveFunction"], v["BundlePair"]
-    assert hash(v["Poly"]) == hash(("Poly", v["Poly"].coeffs))
+    assert hash(v["Poly"]) == hash(("Poly", v["Poly"].numerators,
+                                    v["Poly"].denominator))
     assert hash(p) == hash((p.at_infinity, p.x, p.y))
     assert hash(v["infinity"]) == hash((True, None, None))
     assert hash(curve) == hash((curve.f,))

@@ -9,11 +9,10 @@ too long to hold two such numbers, a JSON boolean standing for a number
 and a divisor whose multiplicities weigh more than the cap exit 2 at
 once, naming the field; so do ``secant-matrix``'s degree flags above the
 same cap and a ``local-model`` modification order below 1, naming the
-flag.  A listed point (a divisor's ``affine``
-entry, a pool's ``points`` entry) is an affine point of the curve off
-y = 0, distinct from the pool's other points; any other exits 2 naming
-the entry.  A top's optional ``"d"`` other than the integer deg L1 exits
-2 naming ``d``.
+flag.  A listed point (a divisor's ``affine`` entry, a pool's ``points``
+entry) is an affine point of the curve off y = 0, distinct from the
+pool's other points; any other exits 2 naming the entry.  A top's
+optional ``"d"`` other than the integer deg L1 exits 2 naming ``d``.
 """
 
 from __future__ import annotations

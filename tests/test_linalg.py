@@ -87,8 +87,8 @@ def test_rref_concrete(m):
 
 
 class _OffByOne(int):
-    """An int whose products and differences stay off-by-one ints and
-    whose (exact) floor division comes out one too high."""
+    """An int whose products and differences stay in this class and whose
+    (exact) floor division comes out one too high."""
 
     def __mul__(self, other):
         return _OffByOne(int(self) * int(other))

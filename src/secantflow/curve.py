@@ -75,17 +75,16 @@ class CurvePoint(Value):
     """A closed point of the model: infinity, or an affine point (x0, y0)."""
 
     at_infinity: bool
-    x: Fraction | None = None
-    y: Fraction | None = None
+    # infinity keeps 0, not None, whose hash varies by process before 3.12
+    x: Fraction = Fraction(0)
+    y: Fraction = Fraction(0)
 
     @classmethod
     def affine(cls, x0: Scalar, y0: Scalar) -> CurvePoint:
         return cls(False, _frac(x0), _frac(y0))
 
     def sort_key(self):
-        if self.at_infinity:
-            return (0, Fraction(0), Fraction(0))
-        return (1, self.x, self.y)
+        return (not self.at_infinity, self.x, self.y)
 
     def conjugate(self) -> CurvePoint:
         """The hyperelliptic involution (x, y) -> (x, -y); fixes infinity."""

@@ -10,7 +10,8 @@ by construction, and the section reappears with a double zero along it.
 
 Chains of such steps are the strata of the iterated-blowup picture: the
 paths of one DAG of critical points per query, each node expanded once and
-holding its edges and the number of chains below it.  A chain record keeps
+holding its edges and the number of chains below it; one certificate per
+edge, the stratum search that makes its witness minimal.  A record keeps
 its top and its flow-line points; its limits are the successive witness
 twists, derived when read and never stored.  ``commuting_check``
 verifies that projecting to the first secant point commutes with erasing
@@ -192,11 +193,25 @@ def make_critical_point(curve: HyperellipticCurve, L1_rep: Divisor,
 # single flow-line steps
 # ---------------------------------------------------------------------------
 
+def _witness_twist(curve: HyperellipticCurve, top: CriticalPointData,
+                   D: Divisor) -> CriticalPointData:
+    """``top.twisted(D)``, whose section gains a zero of order exactly
+    2 * mult at each point of D (verified by the valuation arithmetic)."""
+    before = {p: section_order(curve, top, p) for p, _ in D.items()}
+    limit = top.twisted(D)
+    for p, mult in D.items():
+        gained = section_order(curve, limit, p)
+        invariant(gained == before[p] + 2 * mult,
+                  "order at %r went %d -> %d, not +%d",
+                  p, before[p], gained, 2 * mult)
+    return limit
+
+
 def downward_limit(curve: HyperellipticCurve, top: CriticalPointData,
                    x: FlowLinePoint) -> CriticalPointData:
-    """The critical point the flow line from x converges to: the witness
-    twist ``top.twisted(D)``, whose section gains a zero of order exactly
-    2 * mult at each point of D (verified by the valuation arithmetic).
+    """The critical point the flow line from x converges to: the checked
+    witness twist ``_witness_twist(curve, top, D)``, after the budget and
+    minimality checks (the chain DAG's search certifies both per edge).
 
     Only top is validated.  Its limit is then valid: for n = deg D,
     2(d - n) - degE = delta - 2n > 0; the bundle divisor only gains 2D,
@@ -219,14 +234,7 @@ def downward_limit(curve: HyperellipticCurve, top: CriticalPointData,
             raise WitnessNotMinimalError(
                 f"the witness is not minimal: drop {p!r} and the class "
                 "still lies on the plane")
-    before = {p: section_order(curve, top, p) for p, _ in D.items()}
-    limit = top.twisted(D)
-    for p, mult in D.items():
-        gained = section_order(curve, limit, p)
-        invariant(gained == before[p] + 2 * mult,
-                  "order at %r went %d -> %d, not +%d",
-                  p, before[p], gained, 2 * mult)
-    return limit
+    return _witness_twist(curve, top, D)
 
 
 def upward_targets(curve: HyperellipticCurve, bottom: CriticalPointData,
@@ -338,6 +346,8 @@ def _continuations(curve: HyperellipticCurve, top: CriticalPointData,
     order, with canonical classes; its count is the number of step
     sequences from it down to ell (1 at ell, 0 where no flow line may
     arrive).  Each node is expanded once; the DAG is one cache entry.
+    One certificate per edge, the search in ``_canonical_class``, and one
+    ``_witness_twist``: nodes below the top are valid by construction.
     """
     dag: dict = {}
 
@@ -352,7 +362,7 @@ def _continuations(curve: HyperellipticCurve, top: CriticalPointData,
                 invariant(2 * n < node.delta, "witness outside the secant bound")
                 for D in pool_divisors(pool, n):
                     x = FlowLinePoint(_canonical_class(curve, pair, D, pool), D)
-                    limit = downward_limit(curve, node, x)
+                    limit = _witness_twist(curve, node, D)
                     steps.append((x, limit))
                     count += expand(limit)
         dag[node] = (tuple(steps), count)
@@ -388,7 +398,7 @@ def enumerate_chains(curve: HyperellipticCurve, top: CriticalPointData,
     Compositions of the budget u - ell into pool divisors, in
     lexicographic order: the paths of the chain DAG.  Each step carries
     the canonical class of its witness, and its limit gains a double zero
-    of the section along the witness (checked by ``downward_limit``).
+    of the section along the witness (checked by ``_witness_twist``).
     """
     dag = _chain_dag(curve, top, ell, pool)
 

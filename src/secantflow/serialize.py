@@ -17,10 +17,15 @@ from .polynomials import ROOT_SEARCH_MAX_BITS, Poly
 
 
 def frac_to_str(q) -> str:
+    """q as "p/q", or "p" when integral; a part too long for the readers
+    (and for CPython's int-to-str limit) is refused, naming the output."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    n, d = q.numerator, q.denominator
+    if abs(n) >= _TOO_LONG or d >= _TOO_LONG:
+        raise MalformedInputError(
+            f"the answer has a numerator or denominator of more than "
+            f"{MAX_DIGITS} digits and cannot be written", field="output")
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 # CPython converts at most MAX_DIGITS digits between int and str by default

@@ -9,10 +9,12 @@ too long to hold two such numbers, a JSON boolean standing for a number
 and a divisor whose multiplicities weigh more than the cap exit 2 at
 once, naming the field; so do ``secant-matrix``'s degree flags above the
 same cap and a ``local-model`` modification order below 1, naming the
-flag.  A listed point (a divisor's ``affine`` entry, a pool's ``points``
-entry) is an affine point of the curve off y = 0, distinct from the
-pool's other points; any other exits 2 naming the entry.  A top's
-optional ``"d"`` other than the integer deg L1 exits 2 naming ``d``.
+flag.  An answer with a number too long to write exits 2 naming
+``output``, with nothing written.  A listed point (a divisor's
+``affine`` entry, a pool's ``points`` entry) is an affine point of the
+curve off y = 0, distinct from the pool's other points; any other exits
+2 naming the entry.  A top's optional ``"d"`` other than the integer
+deg L1 exits 2 naming ``d``.
 """
 
 from __future__ import annotations
@@ -159,6 +161,25 @@ def test_numbers_at_the_digit_limit_round_trip(tmp_path, capsys):
                      "--divisor", str(divisor)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["curve"]["f"][0] == top and out["dim"] == 3
+
+
+@pytest.mark.parametrize("emit", ["json", "csv"])
+def test_answer_too_long_to_write_exits_two_naming_the_output(tmp_path,
+                                                             capsys, emit):
+    """Every input number fits the digit limit, but a basis element of
+    L(4*inf + 3*(0, y0)) on y^2 = x^5 - x + y0^2 does not."""
+    y0 = 10 ** 2000 + 7
+    curve, divisor = tmp_path / "curve.json", tmp_path / "divisor.json"
+    curve.write_text(json.dumps({"f": [str(y0 * y0), "-1", "0", "0", "0",
+                                       "1"]}))
+    divisor.write_text(json.dumps(
+        {"inf": 4, "affine": [{"x": "0", "y": str(y0), "mult": 3}]}))
+    code = cli.main(["rr-space", "--curve", str(curve),
+                     "--divisor", str(divisor), "--emit", emit])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("input error [cli]: output: "), out.err
+    assert str(MAX_DIGITS) in out.err
 
 
 def test_long_strings_are_refused_before_parsing():

@@ -1,7 +1,8 @@
 """The identity checks stay in force under ``python -O``.
 
 Each case breaks one step behind an acceptance check with a monkeypatch
-and runs the check's core call in a ``python -O`` subprocess, where every
+(or, for the chain DAG's budget, asks below the level range) and runs
+the check's core call in a ``python -O`` subprocess, where every
 ``assert`` statement would be stripped; InvariantError must still be
 raised.  The secant identities (the rank law, criterion 2, and the gcd
 intersection, criterion 3) report a broken step as DegenerateRankError,
@@ -94,6 +95,17 @@ top = make_critical_point(curve, Divisor({INF: 3}), Divisor({INF: -2}),
 pool = [curve.point(0, 1), curve.point(1, 1)]
 r.section_order = lambda curve, data, p: 0
 enumerate_chains(curve, top, 2, pool)
+""",
+    # no patch: a DAG asked for a level below the range meets a witness
+    # outside the secant bound, which the query's range check keeps out
+    "criterion_7_dag_budget": """\
+import secantflow.resolution as r
+curve = make_curve([1, -1, 0, 0, 0, 1])
+one = CurveFunction(curve, Poly([1]), Poly.zero())
+top = make_critical_point(curve, Divisor({INF: 4}), Divisor({INF: -3}),
+                          Divisor({INF: 8}), one)
+pool = (curve.point(0, 1), curve.point(0, -1), curve.point(1, 1))
+r._continuations.__wrapped__(curve, top, 0, pool)
 """,
 }
 

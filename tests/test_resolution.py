@@ -40,6 +40,7 @@ from secantflow.errors import (
     BudgetViolationError,
     DegenerateRankError,
     InadmissibleSupportError,
+    InvariantError,
     MalformedInputError,
     UnsupportedSupportError,
     WeierstrassPointError,
@@ -535,27 +536,54 @@ def test_cold_dag_build_takes_one_limit_per_edge(monkeypatch, curve,
                                                  criterion_7_runs, run):
     top, ell, pool, _ = criterion_7_runs[run]
     calls = []
+    twist = resolution._witness_twist
 
     def counted(*args):
         calls.append(args)
-        return downward_limit(*args)
+        return twist(*args)
 
     resolution._continuations.cache_clear()
-    monkeypatch.setattr(resolution, "downward_limit", counted)
+    monkeypatch.setattr(resolution, "_witness_twist", counted)
     dag = chain_dag(curve, top, ell, pool)
     assert len(calls) == sum(len(steps) for steps, _ in dag.values())
+    assert {(node, x.witness) for node, (steps, _) in dag.items()
+            for x, _ in steps} == {(node, D) for _, node, D in calls}
 
 
-def test_cold_dag_build_validates_each_node_once(curve, criterion_7_runs):
+def test_cold_dag_build_validates_only_its_top(curve, criterion_7_runs):
     top, ell, pool, _ = criterion_7_runs["budget_3"]
     resolution._continuations.cache_clear()
     resolution._validate_critical_point.cache_clear()
     dag = chain_dag(curve, top, ell, pool)
     info = resolution._validate_critical_point.cache_info()
-    edges = sum(len(steps) for steps, _ in dag.values())
-    # the top once at the query, then each node once at its first edge
-    assert info.misses == sum(1 for steps, _ in dag.values() if steps)
-    assert info.hits + info.misses == 1 + edges > 2 * info.misses
+    assert len(dag) > 1
+    assert (info.misses, info.hits) == (1, 0)
+
+
+def test_cold_dag_build_rechecks_no_edge(monkeypatch, curve,
+                                         criterion_7_runs):
+    """Each edge's certificate is the canonical class's stratum search:
+    the DAG neither takes the public limit nor tests a plane itself."""
+    top, ell, pool, expected = criterion_7_runs["budget_3"]
+
+    def refused(*args):
+        raise AssertionError("the DAG re-checked an edge")
+
+    resolution._continuations.cache_clear()
+    monkeypatch.setattr(resolution, "downward_limit", refused)
+    monkeypatch.setattr(resolution, "plane_membership", refused)
+    assert len(enumerate_chains(curve, top, ell, pool)) == expected
+    rep = commuting_check(curve, top, ell, pool)
+    assert rep.chains == expected and rep.ok
+
+
+def test_dag_budget_invariant_fires_below_the_level_range(curve, one, pool):
+    """Below the level range a witness outgrows the secant bound; the
+    invariant refuses it (the query's range check never lets it happen)."""
+    top = make_critical_point(curve, Divisor({INF: 4}), Divisor({INF: -3}),
+                              Divisor({INF: 8}), one)
+    with pytest.raises(InvariantError, match="secant bound"):
+        resolution._continuations.__wrapped__(curve, top, 0, tuple(pool[:4]))
 
 
 @pytest.mark.parametrize("run", ["budget_1", "budget_2", "budget_3"])

@@ -14,6 +14,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -72,7 +73,7 @@ def test_hash_values_are_the_field_hashes():
     assert hash(v["Poly"]) == hash(("Poly", v["Poly"].numerators,
                                     v["Poly"].denominator))
     assert hash(p) == hash((p.at_infinity, p.x, p.y))
-    assert hash(v["infinity"]) == hash((True, None, None))
+    assert hash(v["infinity"]) == hash((True, Fraction(0), Fraction(0)))
     assert hash(curve) == hash((curve.f,))
     assert hash(D) == hash(("Divisor", D.items()))
     assert hash(phi) == hash(("CurveFunction", phi.curve, phi.a, phi.b,
@@ -168,6 +169,20 @@ def test_unpickled_values_hash_fresh_in_another_process():
                          env=env, timeout=60)
     assert res.returncode == 0, res.stderr.decode()
     assert res.stdout.decode().strip() == ""
+
+
+def test_infinity_hashes_alike_in_every_process():
+    """INF's hash reads no object address (hash(None) does before 3.12),
+    so hashed containers of points lay out alike in every process."""
+    src = str(Path(secantflow.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONHASHSEED": "0",
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    code = "from secantflow import INF; print(hash(INF))"
+    seen = {subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env, timeout=60,
+                           check=True).stdout.strip() for _ in range(2)}
+    assert seen == {str(hash(INF))}
 
 
 # -- Divisor against a plain dict --------------------------------------------

@@ -79,8 +79,20 @@ def _cell(value) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _moduli_params(args) -> ModuliParams:
+    """The moduli parameters of --g, --degE, --degM and --fixed-det, with
+    --g and --degM checked by name first."""
+    if args.g < 2:
+        raise MalformedInputError(f"genus must be at least 2, got {args.g}",
+                                  field="--g")
+    if args.degM < 1:
+        raise MalformedInputError(
+            f"twist degree must be positive, got {args.degM}", field="--degM")
+    return ModuliParams(args.g, args.degE, args.degM, args.fixed_det)
+
+
 def cmd_critical_sets(args) -> int:
-    params = ModuliParams(args.g, args.degE, args.degM, args.fixed_det)
+    params = _moduli_params(args)
     rows = []
     for c in critical_range(params):
         rows.append({"d": c.d, "index_real": c.index_real,
@@ -101,7 +113,10 @@ def cmd_critical_sets(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    params = ModuliParams(args.g, args.degE, args.degM, args.fixed_det)
+    params = _moduli_params(args)
+    if args.samples < 0:
+        raise MalformedInputError(
+            f"must be at least 0, got {args.samples}", field="--samples")
     report = smale_check(params)
     rng = random.Random(args.seed)
     fibre = fibre_dim_crosscheck(params, rng=rng, samples=args.samples)
@@ -136,6 +151,13 @@ def cmd_secant_matrix(args) -> int:
             raise MalformedInputError(
                 f"must be at most {ser.MAX_DIVISOR_WEIGHT} in absolute "
                 f"value, got {value}", field=f"--{flag}")
+    if args.d1 <= args.d2:
+        raise MalformedInputError(
+            f"must exceed --d2 = {args.d2}, got {args.d1}", field="--d1")
+    if args.d1 > args.d2 + args.m:
+        raise MalformedInputError(
+            f"must be at most --d2 + --m = {args.d2 + args.m}, got {args.d1}",
+            field="--d1")
     curve = ser.curve_from_json(_load_json(args.curve, "curve"))
     D = ser.divisor_from_json(curve, _load_json(args.divisor, "divisor"))
     pair = BundlePair.at_infinity(args.d1, args.d2, args.m)
@@ -200,6 +222,12 @@ def cmd_local_model(args) -> int:
 def cmd_chains(args) -> int:
     curve = ser.curve_from_json(_load_json(args.curve, "curve"))
     top = ser.critical_point_from_json(curve, _load_json(args.top, "top"))
+    levels = top.params(curve).level_range()
+    if args.ell not in levels or args.ell >= top.d:
+        raise MalformedInputError(
+            f"must lie in the level range {levels.start}..{levels.stop - 1} "
+            f"below the top's level u = {top.d}, got {args.ell}",
+            field="--ell")
     pool_path = args.pool or os.environ.get("SECANTFLOW_POOL")
     if not pool_path:
         raise MalformedInputError(

@@ -11,14 +11,14 @@ by construction, and the section reappears with a double zero along it.
 Chains of such steps are the strata of the iterated-blowup picture: the
 paths of one DAG of critical points per query, each node expanded once and
 holding its edges and the number of chains below it; one certificate per
-edge, the stratum search that makes its witness minimal.  A record keeps
-its top and its flow-line points; its limits are the successive witness
-twists, derived when read and never stored.  ``commuting_check``
-verifies that projecting to the first secant point commutes with erasing
-the circle phases, together with the exact fibre-counting law of the
-first-step projection.  It checks the top's first-step edges, each
-weighted by its chain count, which assumes ``P_morse`` and ``P_sec`` read
-only a chain's first step.
+edge, that its class lies on its witness's plane and on no pool plane one
+degree below.  A record keeps its top and its flow-line points; its limits
+are the successive witness twists, derived when read and never stored.
+``commuting_check`` verifies that projecting to the first secant point
+commutes with erasing the circle phases, together with the exact
+fibre-counting law of the first-step projection.  It checks the top's
+first-step edges, each weighted by its chain count, which assumes
+``P_morse`` and ``P_sec`` read only a chain's first step.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .errors import (BudgetViolationError, DegenerateRankError,
                      UnsupportedSupportError, Value, WitnessNotMinimalError,
                      ZeroSectionError, invariant, replace)
 from .morse import ModuliParams
-from .secant import (BundlePair, DualClass, checked_pool, plane_membership,
-                     pool_divisors, secant_plane, stratum_membership,
-                     stratum_search)
+from .secant import (BundlePair, DualClass, checked_pool,
+                     minimal_pool_witness, plane_membership, pool_divisors,
+                     secant_plane)
 
 
 class FlowLinePoint(Value):
@@ -71,12 +71,10 @@ def flow_line_point(curve: HyperellipticCurve, pair: BundlePair,
                     cls: DualClass, witness: Divisor, pool,
                     phase: Fraction | None = Fraction(0)) -> FlowLinePoint:
     """Build a FlowLinePoint after checking the witness really is a
-    minimal secant witness of the class over the pool.  A class off the
-    witness plane fails too: the witness is then not among the minimal
-    witnesses the stratum search returns."""
-    secant_plane(curve, pair, witness)  # validates the witness
-    res = stratum_membership(curve, pair, cls, tuple(pool), witness.degree)
-    if res is None or res.N < witness.degree or witness not in res.witnesses:
+    minimal secant witness of the class over the pool: a pool divisor whose
+    plane holds the class, which no pool plane one degree below does."""
+    if not minimal_pool_witness(curve, pair, cls, witness,
+                                checked_pool(curve, pool)):
         raise WitnessNotMinimalError(
             f"{witness!r} is not a minimal pool witness of the class")
     return FlowLinePoint(cls, witness, phase)
@@ -193,25 +191,26 @@ def make_critical_point(curve: HyperellipticCurve, L1_rep: Divisor,
 # single flow-line steps
 # ---------------------------------------------------------------------------
 
-def _witness_twist(curve: HyperellipticCurve, top: CriticalPointData,
-                   D: Divisor) -> CriticalPointData:
+def _witness_twist(top: CriticalPointData, D: Divisor) -> CriticalPointData:
     """``top.twisted(D)``, whose section gains a zero of order exactly
-    2 * mult at each point of D (verified by the valuation arithmetic)."""
-    before = {p: section_order(curve, top, p) for p, _ in D.items()}
+    2 * mult at each point of D: phi is the same function at both levels,
+    so the gain is that of the bundle divisor L2 - L1 + M alone."""
     limit = top.twisted(D)
+    invariant(limit.phi is top.phi, "the twist replaced phi")
     for p, mult in D.items():
-        gained = section_order(curve, limit, p)
-        invariant(gained == before[p] + 2 * mult,
-                  "order at %r went %d -> %d, not +%d",
-                  p, before[p], gained, 2 * mult)
+        gained = (limit.L2_rep.coeff(p) - limit.L1_rep.coeff(p)
+                  + limit.M_rep.coeff(p) - top.L2_rep.coeff(p)
+                  + top.L1_rep.coeff(p) - top.M_rep.coeff(p))
+        invariant(gained == 2 * mult, "order at %r gained %d, not %d",
+                  p, gained, 2 * mult)
     return limit
 
 
 def downward_limit(curve: HyperellipticCurve, top: CriticalPointData,
                    x: FlowLinePoint) -> CriticalPointData:
     """The critical point the flow line from x converges to: the checked
-    witness twist ``_witness_twist(curve, top, D)``, after the budget and
-    minimality checks (the chain DAG's search certifies both per edge).
+    witness twist ``_witness_twist(top, D)``, after the budget and
+    minimality checks (the chain DAG's certificate proves both per edge).
 
     Only top is validated.  Its limit is then valid: for n = deg D,
     2(d - n) - degE = delta - 2n > 0; the bundle divisor only gains 2D,
@@ -234,7 +233,7 @@ def downward_limit(curve: HyperellipticCurve, top: CriticalPointData,
             raise WitnessNotMinimalError(
                 f"the witness is not minimal: drop {p!r} and the class "
                 "still lies on the plane")
-    return _witness_twist(curve, top, D)
+    return _witness_twist(top, D)
 
 
 def upward_targets(curve: HyperellipticCurve, bottom: CriticalPointData,
@@ -324,14 +323,12 @@ def _canonical_class(curve: HyperellipticCurve, pair: BundlePair,
     at most deg D the gcd identity applies to lcm(D, D''): were the sum on
     plane(D''), it would lie on plane(gcd(D, D'')), spanned by a proper
     subset of D's columns, against the rank law (its coordinates in D's
-    columns are unique, and all of them are 1).  The stratum search checks
-    this, so minimality is verified, not assumed.
+    columns are unique, and all of them are 1).  ``minimal_pool_witness``
+    checks this, so minimality is verified, not assumed.
     """
-    N = D.degree
     plane = secant_plane(curve, pair, D)
     e = DualClass(tuple(sum(row) for row in plane.span))
-    res = stratum_search(curve, pair, e, pool, N)
-    if res is None or res.N != N or D not in res.witnesses:
+    if not minimal_pool_witness(curve, pair, e, D, pool):
         raise DegenerateRankError(
             f"{D!r} is not a minimal witness of its plane's column sum")
     return e
@@ -346,8 +343,9 @@ def _continuations(curve: HyperellipticCurve, top: CriticalPointData,
     order, with canonical classes; its count is the number of step
     sequences from it down to ell (1 at ell, 0 where no flow line may
     arrive).  Each node is expanded once; the DAG is one cache entry.
-    One certificate per edge, the search in ``_canonical_class``, and one
-    ``_witness_twist``: nodes below the top are valid by construction.
+    One certificate per edge, ``minimal_pool_witness`` in
+    ``_canonical_class``, and one ``_witness_twist``: nodes below the top
+    are valid by construction.
     """
     dag: dict = {}
 
@@ -362,7 +360,7 @@ def _continuations(curve: HyperellipticCurve, top: CriticalPointData,
                 invariant(2 * n < node.delta, "witness outside the secant bound")
                 for D in pool_divisors(pool, n):
                     x = FlowLinePoint(_canonical_class(curve, pair, D, pool), D)
-                    limit = _witness_twist(curve, node, D)
+                    limit = _witness_twist(node, D)
                     steps.append((x, limit))
                     count += expand(limit)
         dag[node] = (tuple(steps), count)

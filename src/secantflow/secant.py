@@ -415,16 +415,23 @@ def stratum_membership(curve: HyperellipticCurve, pair: BundlePair,
             f"maxN = {maxN} must stay below d1 - d2 = {pair.delta}")
     if maxN < 1:
         raise BoundViolationError("maxN must be >= 1")
-    return stratum_search(curve, pair, e, checked_pool(curve, pool), maxN)
-
-
-def stratum_search(curve: HyperellipticCurve, pair: BundlePair, e: DualClass,
-                   pool: tuple, maxN: int) -> StratumResult | None:
-    """``stratum_membership``'s search over a pool already passed through
-    ``checked_pool``, with 1 <= maxN < d1 - d2 (both preconditions)."""
+    pool = checked_pool(curve, pool)
     for N in range(1, maxN + 1):
         hits = [D for D in pool_divisors(pool, N)
                 if plane_membership(e, secant_plane(curve, pair, D))]
         if hits:
             return StratumResult(N, tuple(hits))
     return None
+
+
+def minimal_pool_witness(curve: HyperellipticCurve, pair: BundlePair,
+                         e: DualClass, D: Divisor, pool: tuple) -> bool:
+    """Is D a minimal pool witness of e?  The pool has passed
+    ``checked_pool``; a bad witness raises (its plane is built first).
+    The planes are nested, so a class on no pool plane one degree below D
+    is on none lower: this accepts what ``stratum_membership`` returns."""
+    plane = secant_plane(curve, pair, D)
+    lower = pool_divisors(pool, D.degree - 1) if D.degree > 1 else ()
+    return (all(p in pool for p, _ in D.items()) and plane_membership(e, plane)
+            and not any(plane_membership(e, secant_plane(curve, pair, E))
+                        for E in lower))

@@ -43,17 +43,35 @@ OPTIMIZED = "tests/test_invariants.py::test_invariant_fires_under_optimize"
 
 MUTANTS = (
     # the chain step's order gain, in the one twist the DAG and
-    # downward_limit share
+    # downward_limit share, and the one section it reads at both levels
     Mutant("resolution.py",
-           "invariant(gained == before[p] + 2 * mult,",
+           "invariant(gained == 2 * mult,",
            "invariant(True,",
            (f"{OPTIMIZED}[criterion_6_order_gain]",
             f"{OPTIMIZED}[criterion_7_memoized_chain_step]")),
+    Mutant("resolution.py",
+           "invariant(limit.phi is top.phi,",
+           "invariant(True,",
+           (f"{OPTIMIZED}[criterion_6_twist_keeps_phi]",)),
     # the DAG's certificate: D is the column sum's minimal pool witness
     Mutant("resolution.py",
-           "if res is None or res.N != N or D not in res.witnesses:",
+           "if not minimal_pool_witness(curve, pair, e, D, pool):",
            "if False:",
            (R + "test_canonical_class_checks_its_witness",)),
+    # the certificate's three clauses: a pool divisor, the class on its
+    # plane, and on no pool plane one degree below
+    Mutant("secant.py",
+           "return (all(p in pool for p, _ in D.items()) and",
+           "return (True and",
+           (R + "test_flow_line_point_rejects_a_witness_off_the_pool",)),
+    Mutant("secant.py",
+           "and plane_membership(e, plane)",
+           "and True",
+           (R + "test_flow_line_point_rejects_off_plane_class",)),
+    Mutant("secant.py",
+           "and not any(plane_membership(e, secant_plane(curve, pair, E))",
+           "and not any(False",
+           (R + "test_flow_line_point_rejects_non_minimal_witness",)),
     # the DAG's budget, which its level range implies
     Mutant("resolution.py",
            'invariant(2 * n < node.delta, "witness outside the secant bound")',

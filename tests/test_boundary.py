@@ -8,8 +8,9 @@ digits than CPython converts to and from str (bare or quoted), a string
 too long to hold two such numbers, a JSON boolean standing for a number
 and a divisor whose multiplicities weigh more than the cap exit 2 at
 once, naming the field; so do ``secant-matrix``'s degree flags above the
-same cap and a ``local-model`` modification order below 1, naming the
-flag.  An answer with a number too long to write exits 2 naming
+same cap, a ``local-model`` modification order below 1, and any flag the
+library would refuse (``--g``, ``--degM``, ``--samples``, ``--d1``,
+``--ell``), naming the flag.  An answer with a number too long to write exits 2 naming
 ``output``, with nothing written.  A listed point (a divisor's
 ``affine`` entry, a pool's ``points`` entry) is an affine point of the
 curve off y = 0, distinct from the pool's other points; any other exits
@@ -305,6 +306,46 @@ def test_local_model_order_below_one_exits_two(capsys, m, emit):
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert out.err.startswith("input error [cli]: --m: "), out.err
+
+
+# a flag the library would refuse is refused by name before any work:
+# (argv, the files of the chains runs, the flag named)
+REFUSED_FLAGS = {
+    "critical_sets_genus": (["critical-sets", "--g", "1", "--degE", "1",
+                             "--degM", "6"], "--g"),
+    "critical_sets_twist": (["critical-sets", "--g", "2", "--degE", "1",
+                             "--degM", "0"], "--degM"),
+    "verify_identities_twist": (["verify-identities", "--g", "2", "--degE",
+                                 "1", "--degM", "-2"], "--degM"),
+    "verify_identities_samples": (["verify-identities", "--g", "2", "--degE",
+                                   "1", "--degM", "6", "--samples", "-1"],
+                                  "--samples"),
+    "secant_matrix_d1_not_above_d2": (["secant-matrix", "--d1", "5", "--d2",
+                                       "5", "--m", "5"], "--d1"),
+    "secant_matrix_d1_past_d2_plus_m": (["secant-matrix", "--d1", "3",
+                                         "--d2", "0", "--m", "1"], "--d1"),
+    # the top (3, -2, 6) has level range 1..3 and u = 3
+    "chains_ell_outside_the_range": (["chains", "--ell", "9"], "--ell"),
+    "chains_ell_at_the_top": (["chains", "--ell", "3"], "--ell"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_FLAGS))
+def test_refused_flag_exits_two_naming_it(tmp_path, capsys, case):
+    argv, flag = REFUSED_FLAGS[case]
+    files = {"chains": {"curve": {"f": G2}, "top": TOP_JSON, "pool": POOL},
+             "secant-matrix": {"curve": {"f": G2},
+                               "divisor": {"affine": [{"x": "0", "y": "1"}]}},
+             }.get(argv[0], {})
+    args = list(argv)
+    for name, obj in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        args += [f"--{name}", str(path)]
+    code = cli.main(args)
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"input error [cli]: {flag}: "), out.err
 
 
 # -- listed points ------------------------------------------------------------

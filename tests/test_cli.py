@@ -237,7 +237,7 @@ def test_exit_two_on_out_of_range_level(files):
     res = run_cli("chains", "--curve", files["curve"], "--top", files["top"],
                   "--ell", "5", "--pool", files["pool"])
     assert res.returncode == 2
-    assert "[resolution]" in res.stderr
+    assert res.stderr.startswith("input error [cli]: --ell: ")
 
 
 OFF_CURVE = {"x": "2", "y": "3", "mult": 1}             # f(2) = 31
@@ -298,7 +298,8 @@ def test_exit_two_on_negative_samples():
                   "--degM", "6", "--samples", "-1")
     assert res.returncode == 2
     assert res.stdout == ""
-    assert res.stderr == "input error [morse]: samples = -1 must be >= 0\n"
+    assert res.stderr == ("input error [cli]: --samples: must be at least 0, "
+                          "got -1\n")
 
 
 def test_exit_two_on_unknown_subcommand():

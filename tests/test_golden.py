@@ -23,6 +23,7 @@ modification orders 2 and 3.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -129,6 +130,17 @@ def chains_stdout(tmp_path, capsys, case: str, emit: str) -> str:
                        "--check-diagram", "--emit", emit])
 
 
+# budget 4 below (5, -4, 10) on the six-point pool, as the CI chains step
+# writes it: 4,803 chains, the first run whose lower stratum has degree 3.
+# Its output (6.9 MB of JSON) is pinned by SHA-256, not stored.
+TOP_BUDGET_4 = {"L1": {"inf": 5}, "L2": {"inf": -4}, "M": {"inf": 10},
+                "phi": {"a": ["1"]}}
+BUDGET_4_SHA256 = {
+    "json": "6c54e3d77710d0709c2f6bc9fd1d44273c369b16b8886e0fbbd5c453b57bfda2",
+    "csv": "584c608a3578b64409375009a7fde52f25cfcb48c1e39e8a40b02478a41ed4e4",
+}
+
+
 def local_model_stdout(tmp_path, capsys, m: int, emit: str) -> str:
     return cli_stdout(tmp_path, capsys, {},
                       ["local-model", "--m", str(m), "--emit", emit])
@@ -164,3 +176,13 @@ def test_local_model_output_is_pinned(tmp_path, capsys, m, emit):
     expected = (GOLDEN / "local_model" / f"m{m}.{emit}").read_text(
         encoding="utf-8")
     assert local_model_stdout(tmp_path, capsys, m, emit) == expected
+
+
+@pytest.mark.parametrize("emit", ["json", "csv"])
+def test_budget_4_chains_output_is_pinned(tmp_path, capsys, emit):
+    out = cli_stdout(tmp_path, capsys,
+                     {"curve": G2, "top": TOP_BUDGET_4, "pool": POOL_6},
+                     ["chains", "--curve", "{curve}", "--top", "{top}",
+                      "--pool", "{pool}", "--ell", "1", "--check-diagram",
+                      "--emit", emit])
+    assert hashlib.sha256(out.encode()).hexdigest() == BUDGET_4_SHA256[emit]

@@ -76,24 +76,36 @@ lm.LocalMatrix.trace = lambda self: lm.ONE
 flow_limit(2)
 """,
     "criterion_6_order_gain": """\
-import secantflow.resolution as r
 curve = make_curve([1, -1, 0, 0, 0, 1])
 one = CurveFunction(curve, Poly([1]), Poly.zero())
 top = make_critical_point(curve, Divisor({INF: 3}), Divisor({INF: -2}),
                           Divisor({INF: 6}), one)
 p = curve.point(0, 1)
 x = FlowLinePoint(point_class(curve, top.pair(), p), Divisor.of_point(p))
-r.section_order = lambda curve, data, p: 0
+CriticalPointData.twisted = lambda self, D: CriticalPointData(
+    self.L1_rep - D, self.L2_rep, self.M_rep, self.phi)
+downward_limit(curve, top, x)
+""",
+    "criterion_6_twist_keeps_phi": """\
+curve = make_curve([1, -1, 0, 0, 0, 1])
+one = CurveFunction(curve, Poly([1]), Poly.zero())
+top = make_critical_point(curve, Divisor({INF: 3}), Divisor({INF: -2}),
+                          Divisor({INF: 6}), one)
+p = curve.point(0, 1)
+x = FlowLinePoint(point_class(curve, top.pair(), p), Divisor.of_point(p))
+two = CurveFunction(curve, Poly([2]), Poly.zero())
+CriticalPointData.twisted = lambda self, D: CriticalPointData(
+    self.L1_rep - D, self.L2_rep + D, self.M_rep, two)
 downward_limit(curve, top, x)
 """,
     "criterion_7_memoized_chain_step": """\
-import secantflow.resolution as r
 curve = make_curve([1, -1, 0, 0, 0, 1])
 one = CurveFunction(curve, Poly([1]), Poly.zero())
 top = make_critical_point(curve, Divisor({INF: 3}), Divisor({INF: -2}),
                           Divisor({INF: 6}), one)
 pool = [curve.point(0, 1), curve.point(1, 1)]
-r.section_order = lambda curve, data, p: 0
+CriticalPointData.twisted = lambda self, D: CriticalPointData(
+    self.L1_rep - D, self.L2_rep, self.M_rep, self.phi)
 enumerate_chains(curve, top, 2, pool)
 """,
     # no patch: a DAG asked for a level below the range meets a witness

@@ -193,6 +193,16 @@ def test_flow_line_point_rejects_non_minimal_witness(curve, top, pool):
         flow_line_point(curve, pair, cls, fat, pool)
 
 
+def test_flow_line_point_rejects_a_witness_off_the_pool(curve, top, pool):
+    # the class lies on its witness's plane, but the witness is no pool
+    # divisor
+    pair = top.pair()
+    cls = point_class(curve, pair, pool[4])
+    with pytest.raises(WitnessNotMinimalError):
+        flow_line_point(curve, pair, cls, Divisor.of_point(pool[4]),
+                        pool[:4])
+
+
 # -- downward limits ---------------------------------------------------------
 
 def test_downward_limit_single_point(curve, top, pool):
@@ -503,22 +513,33 @@ def test_canonical_class_is_the_column_sum(curve, criterion_7_runs, run):
             D = x.witness
             plane = secant_plane(curve, pair, D)
             assert x.cls.coords == tuple(sum(row) for row in plane.matrix())
-            res = secant.stratum_search(curve, pair, x.cls, tuple(pool),
-                                        D.degree)
+            res = secant.stratum_membership(curve, pair, x.cls, pool,
+                                            D.degree)
             assert res == secant.StratumResult(D.degree, (D,)) and res.unique
             edges += 1
     assert edges > 0
 
 
-@pytest.mark.parametrize("found", ["nothing", "another witness"])
+# the witness, and the plane whose column sum stands in for its class
+WRONG_COLUMN_SUMS = {
+    # the class of pool[1] is off the plane of pool[0]
+    "off_its_plane": ((0,), (1,)),
+    # the class of pool[0] lies on the plane of pool[0] + pool[2], and on
+    # the degree-1 plane of pool[0] too
+    "on_a_lower_plane": ((0, 2), (0,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_COLUMN_SUMS))
 def test_canonical_class_checks_its_witness(monkeypatch, curve, top, pool,
-                                            found):
-    D = Divisor.of_point(pool[0])
-    other = secant.StratumResult(1, (Divisor.of_point(pool[1]),))
-    monkeypatch.setattr(resolution, "stratum_search", lambda *args: (
-        None if found == "nothing" else other))
+                                            case):
+    witness, summed = (Divisor([(pool[i], 1) for i in idx])
+                       for idx in WRONG_COLUMN_SUMS[case])
+    pair = top.pair()
+    plane = secant_plane(curve, pair, summed)
+    monkeypatch.setattr(resolution, "secant_plane", lambda *args: plane)
     with pytest.raises(DegenerateRankError):
-        resolution._canonical_class.__wrapped__(curve, top.pair(), D,
+        resolution._canonical_class.__wrapped__(curve, pair, witness,
                                                 tuple(pool))
 
 
@@ -547,7 +568,7 @@ def test_cold_dag_build_takes_one_limit_per_edge(monkeypatch, curve,
     dag = chain_dag(curve, top, ell, pool)
     assert len(calls) == sum(len(steps) for steps, _ in dag.values())
     assert {(node, x.witness) for node, (steps, _) in dag.items()
-            for x, _ in steps} == {(node, D) for _, node, D in calls}
+            for x, _ in steps} == {(node, D) for node, D in calls}
 
 
 def test_cold_dag_build_validates_only_its_top(curve, criterion_7_runs):
@@ -562,7 +583,8 @@ def test_cold_dag_build_validates_only_its_top(curve, criterion_7_runs):
 
 def test_cold_dag_build_rechecks_no_edge(monkeypatch, curve,
                                          criterion_7_runs):
-    """Each edge's certificate is the canonical class's stratum search:
+    """Each edge's certificate is the canonical class's
+    ``minimal_pool_witness``, which tests its planes inside ``secant``:
     the DAG neither takes the public limit nor tests a plane itself."""
     top, ell, pool, expected = criterion_7_runs["budget_3"]
 

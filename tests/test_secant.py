@@ -790,3 +790,59 @@ def test_plane_builds_cost_one_jet_block_per_point(monkeypatch, style):
             assert secant_plane(curve, pair, D).rank == N
     assert secant._jet_block.cache_info().misses == len(pool)
     assert len(calls) <= len(pool) * dim
+
+
+# -- minimal pool witnesses, against the exhaustive search --------------------
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_minimal_pool_witness_agrees_with_the_search(data):
+    """D is a minimal pool witness of e exactly when the exhaustive search
+    up to deg D returns D at degree deg D; ``minimal_pool_witness`` looks
+    one degree below D only."""
+    curve = ORACLE_CURVE
+    delta = data.draw(st.integers(5, 7))
+    make_l1 = data.draw(st.sampled_from(
+        _l1_styles(ORACLE_POOL[0], ORACLE_POOL[1])))
+    pair = BundlePair(delta, 0, delta, make_l1(delta), Divisor.zero(),
+                      Divisor({INF: delta}))
+    # ORACLE_POOL holds five points; ORACLE_POINTS, with its conjugates,
+    # gives pools of six and points outside every pool
+    pool = tuple(data.draw(st.lists(st.sampled_from(ORACLE_POINTS),
+                                    min_size=3, max_size=6, unique=True)))
+
+    def pool_divisor(least):
+        n = data.draw(st.integers(least, delta - 1))
+        return Divisor([(data.draw(st.sampled_from(pool)), 1)
+                        for _ in range(n)])
+
+    def column_sum(D):
+        return tuple(sum(row) for row in secant_plane(curve, pair, D).span)
+
+    D = pool_divisor(1)
+    if data.draw(st.booleans()):
+        # one point moved off the pool
+        outside = [p for p in ORACLE_POINTS if p not in pool]
+        D = (D - Divisor.of_point(D.items()[0][0])
+             + Divisor.of_point(data.draw(st.sampled_from(outside))))
+    kind = data.draw(st.sampled_from(
+        ["column_sum", "point", "two_planes", "generic"]))
+    if kind == "column_sum":
+        coords = column_sum(D)
+    elif kind == "point":
+        coords = point_class(curve, pair, data.draw(st.sampled_from(pool))
+                             ).coords
+    elif kind == "two_planes":
+        coords = tuple(a + b for a, b in zip(column_sum(pool_divisor(1)),
+                                             column_sum(pool_divisor(1))))
+    else:
+        coords = tuple(data.draw(st.lists(small_fracs, min_size=delta + 1,
+                                          max_size=delta + 1)))
+    if not any(coords):
+        return
+    e = DualClass(coords)
+    res = stratum_membership(curve, pair, e, pool, D.degree)
+    expected = (res is not None and res.N == D.degree
+                and D in res.witnesses)
+    assert secant.minimal_pool_witness(
+        curve, pair, e, D, secant.checked_pool(curve, pool)) == expected

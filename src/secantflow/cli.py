@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+from collections.abc import Iterable
 
 from . import linalg, serialize as ser
 from .curve import h1_dim, riemann_roch_space, standard_curve
@@ -53,9 +54,13 @@ def _load_json(path: str, what: str):
             f"{what} file {path} is not valid JSON "
             f"(line {exc.lineno}, column {exc.colno}): {exc.msg}",
             field=what) from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{what} file {path} is not UTF-8 text: "
+                                  f"{exc.reason}", field=what) from exc
 
 
-def _emit(args, payload: dict, table: list[dict], columns: list[str]) -> None:
+def _emit(args, payload: dict, table: Iterable[dict],
+          columns: list[str]) -> None:
     if args.emit == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
@@ -253,14 +258,13 @@ def cmd_chains(args) -> int:
         }
         if not rep.ok:
             code = 1
-    table = []
-    for ci, c in enumerate(payload["chains"]):
-        for si, step in enumerate(c["steps"]):
-            table.append({"chain": ci, "step": si,
-                          "witness": _cell(step["witness"]),
-                          "class": _cell(step["class"]),
-                          "phase": _cell(step["phase"]),
-                          "critical_d": step["critical_d"]})
+    table = ({"chain": ci, "step": si,
+              "witness": _cell(step["witness"]),
+              "class": _cell(step["class"]),
+              "phase": _cell(step["phase"]),
+              "critical_d": step["critical_d"]}
+             for ci, c in enumerate(payload["chains"])
+             for si, step in enumerate(c["steps"]))
     _emit(args, payload, table,
           ["chain", "step", "witness", "class", "phase", "critical_d"])
     return code

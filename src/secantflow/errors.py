@@ -56,34 +56,35 @@ class Value(Frozen):
 
     A subclass's annotations, in order, are its fields, and a class
     attribute of the same name is a field's default (defaults come last);
-    the fields named in ``hidden`` take no part in equality, hashing or the
-    repr.  What a value derives from its fields is a property, not a field.
-    Each subclass is given plain functions, not generated code, and may
-    not define its own: ``__init__`` (by position or keyword, then
-    ``__post_init__`` if the class has one), ``__eq__`` within the class,
-    ``__hash__`` (the hash of the tuple of compared fields, computed on
-    first use and kept: values key caches) and ``__reduce__`` (through the
-    constructor, so a kept hash, which may mix in per-process string
-    hashes, never crosses a process).
+    every field takes part in equality, hashing and the repr.  What a value
+    derives from its fields is a property, or is derived and checked by
+    ``__post_init__`` and kept in the instance dict beside the kept hash;
+    it is never a field.  Each subclass is given plain functions, not
+    generated code, and may not define its own: ``__init__`` (by position
+    or keyword, then ``__post_init__`` if the class has one), ``__eq__``
+    within the class, ``__hash__`` (the hash of the field tuple, computed
+    on first use and kept: values key caches) and ``__reduce__`` (through
+    the constructor, so a copy or an unpickled value is checked and derived
+    anew, and a kept hash, which may mix in per-process string hashes,
+    never crosses a process).
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, hidden=(), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = vars(cls).keys() & {"__init__", "__eq__", "__hash__",
                                   "__reduce__"}
         if own:
             raise TypeError(f"{cls.__name__} may not define {sorted(own)}")
         names = cls._fields = tuple(cls.__annotations__)
-        cls._shown = tuple(n for n in names if n not in hidden)
         defaults = {n: vars(cls)[n] for n in names if n in vars(cls)}
         required, tail = len(names) - len(defaults), tuple(defaults.values())
         if any(n not in defaults for n in names[required:]):
             raise TypeError(f"{cls.__name__}: a field without a default "
                             "follows one with a default")
         n_fields, post = len(names), hasattr(cls, "__post_init__")
-        values, key = _getter(names), _getter(cls._shown)
+        values = _getter(names)
 
         def bind(args, kwargs):
             given = {**defaults, **dict(zip(names, args)), **kwargs}
@@ -106,12 +107,12 @@ class Value(Frozen):
                 return True
             if other.__class__ is not cls:
                 return NotImplemented
-            return key(self.__dict__) == key(other.__dict__)
+            return values(self.__dict__) == values(other.__dict__)
 
         def __hash__(self):
             kept = self.__dict__
             if "_hash" not in kept:
-                kept["_hash"] = hash(key(kept))
+                kept["_hash"] = hash(values(kept))
             return kept["_hash"]
 
         def __reduce__(self):
@@ -121,7 +122,7 @@ class Value(Frozen):
         cls.__hash__, cls.__reduce__ = __hash__, __reduce__
 
     def __repr__(self):
-        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
 

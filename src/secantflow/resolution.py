@@ -36,8 +36,7 @@ from .errors import (BudgetViolationError, DegenerateRankError,
                      ZeroSectionError, invariant, replace)
 from .morse import ModuliParams
 from .secant import (BundlePair, DualClass, checked_pool,
-                     minimal_pool_witness, plane_membership, pool_divisors,
-                     secant_plane)
+                     minimal_pool_witness, pool_divisors, secant_plane)
 
 
 class FlowLinePoint(Value):
@@ -209,8 +208,9 @@ def _witness_twist(top: CriticalPointData, D: Divisor) -> CriticalPointData:
 def downward_limit(curve: HyperellipticCurve, top: CriticalPointData,
                    x: FlowLinePoint) -> CriticalPointData:
     """The critical point the flow line from x converges to: the checked
-    witness twist ``_witness_twist(top, D)``, after the budget and
-    minimality checks (the chain DAG's certificate proves both per edge).
+    witness twist ``_witness_twist(top, D)``, after the budget check and
+    the one minimality rule, ``minimal_pool_witness`` over D's own support
+    (the chain DAG's certificate proves both per edge).
 
     Only top is validated.  Its limit is then valid: for n = deg D,
     2(d - n) - degE = delta - 2n > 0; the bundle divisor only gains 2D,
@@ -221,18 +221,9 @@ def downward_limit(curve: HyperellipticCurve, top: CriticalPointData,
     if 2 * D.degree >= top.delta:
         raise BudgetViolationError(
             f"deg D = {D.degree} must stay below (d1 - d2)/2 = {top.delta}/2")
-    pair = top.pair()
-    plane = secant_plane(curve, pair, D)
-    if not plane_membership(x.cls, plane):
+    if not minimal_pool_witness(curve, top.pair(), x.cls, D, D.support()):
         raise WitnessNotMinimalError(
-            "the class does not lie on the witness plane")
-    for p, _ in D.items():
-        sub = D - Divisor.of_point(p)
-        if not sub.is_zero() and plane_membership(
-                x.cls, secant_plane(curve, pair, sub)):
-            raise WitnessNotMinimalError(
-                f"the witness is not minimal: drop {p!r} and the class "
-                "still lies on the plane")
+            f"{D!r} is not a minimal witness of the class")
     return _witness_twist(top, D)
 
 
@@ -327,7 +318,7 @@ def _canonical_class(curve: HyperellipticCurve, pair: BundlePair,
     checks this, so minimality is verified, not assumed.
     """
     plane = secant_plane(curve, pair, D)
-    e = DualClass(tuple(sum(row) for row in plane.span))
+    e = DualClass(tuple(map(sum, zip(*plane.columns))))
     if not minimal_pool_witness(curve, pair, e, D, pool):
         raise DegenerateRankError(
             f"{D!r} is not a minimal witness of its plane's column sum")

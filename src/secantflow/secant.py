@@ -11,8 +11,9 @@ same block, so ranks computed from jets are the ones the geometry dictates.
 Each point's jets are computed once per pair, up to order d1 - d2 - 2,
 the most any witness inside the degree bound needs, in the twist's local
 frame at the point (one ``jet`` call per section), and kept as exact
-columns, ints where integral; a witness reads its columns off those
-blocks, and a plane is the value of (curve, pair, witness).  Every query
+columns, ints where integral.  A plane is exactly (curve, pair,
+witness); where it is built it reads its columns off those blocks and
+derives its annihilator, so however it is made it is checked.  Every query
 goes through a plane's annihilator, the primitive integer rows spanning
 the jet matrix's left kernel: a class lies on the plane when it pairs to
 zero with every row, and two planes meet in dimension n - rank of their
@@ -128,38 +129,61 @@ class DualClass(Value):
         return tuple(linalg.integral(self.coords))
 
 
-class SecantPlane(Value, hidden=("span", "annihilator")):
-    """Column span of a witness divisor's jet matrix, with its ambient.
+class SecantPlane(Value):
+    """The plane of a witness divisor's jet columns, for deg D < d1 - d2.
 
-    ``span`` holds the n x N jet matrix as exact rows (ints where
-    integral, else Fractions); ``annihilator`` holds primitive integer
-    rows spanning the matrix's left kernel,
-    n - N of them: by duality the sections of the twist vanishing on the
-    witness, so a class lies on the plane exactly when every row pairs to
-    zero with it.  The annihilator comes from the same rank-one update of
-    the parent plane's that checked the rank law when the plane was
-    built, and equals ``linalg.integer_kernel`` of the columns (cleared
-    to integers) row for row.  Both are functions of the ambient and the
-    witness, so equality, hashing and the repr look at (curve, pair,
-    witness) only.
+    A plane is exactly (curve, pair, witness).  ``__post_init__`` checks
+    the degree bound and the witness and derives the rest, kept beside
+    the kept hash, so a plane built directly, by ``replace``, by a copy
+    or by unpickling is checked and consistent.  ``columns`` holds the N
+    jet columns, exact (ints where integral, else Fractions).
+    ``annihilator`` holds n - N primitive integer rows spanning the jet
+    matrix's left kernel: by duality the sections of the twist vanishing
+    on the witness, so a class lies on the plane exactly when every row
+    pairs to zero with it.  It is the annihilator of the parent, D less
+    one multiplicity of its last point, updated by the last column
+    cleared to integers (see ``_annihilator_update``; the zero divisor's
+    is the unit basis), and equals ``linalg.integer_kernel`` of the
+    columns row for row.  The parent certified its own rank law, so rank
+    deg D holds exactly when the new column pairs to nonzero with some
+    parent row; DegenerateRankError otherwise (the degree bound rules it
+    out; it is checked anyway).
     """
 
     curve: HyperellipticCurve
     pair: BundlePair
     witness: Divisor
-    span: tuple[tuple[int | Fraction, ...], ...]  # rows
-    annihilator: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        curve, pair, D = self.curve, self.pair, self.witness
+        if D.degree >= pair.delta:
+            raise BoundViolationError(
+                f"deg D = {D.degree} must stay below d1 - d2 = {pair.delta}")
+        _validate_witness(curve, D)
+        cols = tuple(_witness_columns(curve, pair, D))
+        n = len(cols[0])
+        parent = D - Divisor.of_point(D.items()[-1][0])
+        if parent.is_zero():
+            rows = tuple(tuple(int(i == j) for i in range(n))
+                         for j in range(n))
+        else:
+            rows = secant_plane(curve, pair, parent).annihilator
+        annihilator = _annihilator_update(rows, linalg.integral(cols[-1]))
+        if annihilator is None:
+            raise DegenerateRankError(f"jet matrix of {D!r} has rank "
+                                      f"{D.degree - 1}, expected {D.degree}")
+        self.__dict__.update(columns=cols, annihilator=annihilator)
 
     @property
     def n_rows(self) -> int:
-        return len(self.span)
+        return len(self.columns[0])
 
     @property
     def rank(self) -> int:
         return self.witness.degree
 
     def matrix(self) -> list[list[int | Fraction]]:
-        return [list(row) for row in self.span]
+        return linalg.transpose(self.columns)
 
 
 @lru_cache(maxsize=128)
@@ -259,37 +283,11 @@ def point_class(curve: HyperellipticCurve, pair: BundlePair, p) -> DualClass:
 @lru_cache(maxsize=4096)
 def secant_plane(curve: HyperellipticCurve, pair: BundlePair,
                  D: Divisor) -> SecantPlane:
-    """The plane spanned by D, for deg D < d1 - d2.
-
-    Raises BoundViolationError outside the degree bound and
-    DegenerateRankError if the matrix fails to have rank deg D inside it
-    (which the degree bound rules out; it is checked anyway).  The plane
-    of D contains the plane of its parent, D less one multiplicity of its
-    last point, whose columns are D's columns but the last one; the
-    annihilator is the parent's, updated by that column cleared to
-    integers (see ``_annihilator_update``), and the parent of a single
-    point is the zero divisor, annihilated by the unit basis.  The parent
-    certified its own rank law, so rank deg D holds exactly when the new
-    column pairs to nonzero with some parent row.  A plane is built and checked
-    once per (curve, pair, D) and then shared; a call that raises is not
-    remembered, so bad input raises every time.
+    """The plane spanned by D, ``SecantPlane(curve, pair, D)``, built and
+    checked once per (curve, pair, D) and then shared, parents included.
+    A call that raises is not remembered, so bad input raises every time.
     """
-    if D.degree >= pair.delta:
-        raise BoundViolationError(
-            f"deg D = {D.degree} must stay below d1 - d2 = {pair.delta}")
-    _validate_witness(curve, D)
-    cols = _witness_columns(curve, pair, D)
-    n = len(cols[0])
-    parent = D - Divisor.of_point(D.items()[-1][0])
-    if parent.is_zero():
-        rows = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
-    else:
-        rows = secant_plane(curve, pair, parent).annihilator
-    annihilator = _annihilator_update(rows, linalg.integral(cols[-1]))
-    if annihilator is None:
-        raise DegenerateRankError(f"jet matrix of {D!r} has rank "
-                                  f"{D.degree - 1}, expected {D.degree}")
-    return SecantPlane(curve, pair, D, tuple(zip(*cols)), annihilator)
+    return SecantPlane(curve, pair, D)
 
 
 def _annihilator_update(rows, w):
@@ -358,7 +356,7 @@ def plane_intersection(p1: SecantPlane, p2: SecantPlane) -> SecantPlane | None:
     if E.is_zero():
         return None
     plane_e = secant_plane(curve, pair, E)
-    columns = [linalg.integral(col) for col in zip(*plane_e.span)]
+    columns = [linalg.integral(col) for col in plane_e.columns]
     if any(sum(map(mul, row, x)) for row in stacked for x in columns):
         raise DegenerateRankError(
             f"the plane of {E!r} does not lie on both planes")

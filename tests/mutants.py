@@ -59,7 +59,8 @@ MUTANTS = (
            "if False:",
            (R + "test_canonical_class_checks_its_witness",)),
     # the certificate's three clauses: a pool divisor, the class on its
-    # plane, and on no pool plane one degree below
+    # plane, and on no pool plane one degree below (downward_limit's
+    # minimality is this rule, over its witness's own support)
     Mutant("secant.py",
            "return (all(p in pool for p, _ in D.items()) and",
            "return (True and",
@@ -67,19 +68,21 @@ MUTANTS = (
     Mutant("secant.py",
            "and plane_membership(e, plane)",
            "and True",
-           (R + "test_flow_line_point_rejects_off_plane_class",)),
+           (R + "test_flow_line_point_rejects_off_plane_class",
+            R + "test_downward_limit_refuses_a_class_off_the_witness_plane")),
     Mutant("secant.py",
            "and not any(plane_membership(e, secant_plane(curve, pair, E))",
            "and not any(False",
-           (R + "test_flow_line_point_rejects_non_minimal_witness",)),
+           (R + "test_flow_line_point_rejects_non_minimal_witness",
+            R + "test_downward_limit_requires_minimal_witness")),
     # the DAG's budget, which its level range implies
     Mutant("resolution.py",
            'invariant(2 * n < node.delta, "witness outside the secant bound")',
            "pass",
            (R + "test_dag_budget_invariant_fires_below_the_level_range",
             f"{OPTIMIZED}[criterion_7_dag_budget]")),
-    # downward_limit's five checks: top, budget, plane, drop-one (the
-    # order gain is the first entry)
+    # downward_limit's own checks: top and budget (its minimality is the
+    # certificate's, above; the order gain is the first entry)
     Mutant("resolution.py",
            "    _validate_critical_point(curve, top)\n    D = x.witness",
            "    D = x.witness",
@@ -88,14 +91,16 @@ MUTANTS = (
            "if 2 * D.degree >= top.delta:",
            "if False:",
            (R + "test_downward_limit_budget",)),
-    Mutant("resolution.py",
-           "if not plane_membership(x.cls, plane):",
+    # a plane, however it is built, keeps the degree bound and the rank law
+    Mutant("secant.py",
+           "if D.degree >= pair.delta:",
            "if False:",
-           (R + "test_downward_limit_refuses_a_class_off_the_witness_plane",)),
-    Mutant("resolution.py",
-           "if not sub.is_zero() and plane_membership(",
-           "if False and plane_membership(",
-           (R + "test_downward_limit_requires_minimal_witness",)),
+           (S + "test_degree_bound_enforced",)),
+    Mutant("secant.py",
+           "if annihilator is None:",
+           "if False:",
+           (S + "test_a_directly_built_plane_checks_the_rank_law",
+            S + "test_rank_law_failure_raises")),
     # Bareiss keeps one common pivot down the diagonal
     Mutant("linalg.py",
            "invariant(prev != 0 and all(a[i][c] == prev "

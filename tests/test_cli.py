@@ -218,6 +218,24 @@ def test_exit_two_on_malformed_input(files, tmp_path):
     assert "input error" in res.stderr
 
 
+@pytest.mark.parametrize("field", ["curve", "divisor", "top", "pool"])
+def test_exit_two_on_undecodable_input_naming_its_field(files, tmp_path,
+                                                        field):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff" + json.dumps(CURVE_G2).encode())
+    paths = {**files, field: str(bad)}
+    if field in ("curve", "divisor"):
+        args = ["rr-space", "--curve", paths["curve"],
+                "--divisor", paths["div5"] if field == "curve" else str(bad)]
+    else:
+        args = ["chains", "--curve", files["curve"], "--top", paths["top"],
+                "--ell", "2", "--pool", paths["pool"]]
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stderr == (f"input error [cli]: {field}: {field} file {bad} "
+                          "is not UTF-8 text: invalid start byte\n")
+
+
 def test_exit_two_on_missing_file(files):
     res = run_cli("rr-space", "--curve", "/nonexistent/c.json",
                   "--divisor", files["div5"])

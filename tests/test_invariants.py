@@ -147,6 +147,17 @@ s._jet_block = lambda curve, pair, point, order: block(curve, pair, first,
                                                        order)
 secant_plane(curve, pair, D)
 """, "has rank 1, expected 2"),
+    "criterion_2_rank_law_direct": ("""\
+import secantflow.secant as s
+curve = make_curve([1, -1, 0, 0, 0, 1])
+pair = BundlePair.at_infinity(5, 0, 5)
+block = s._jet_block.__wrapped__
+# a jet block whose second column repeats its first, read by a plane
+# built directly
+s._jet_block = lambda curve, pair, point, order: (
+    lambda cols: (cols[0], *cols[:-1]))(block(curve, pair, point, order))
+SecantPlane(curve, pair, Divisor.of_point(curve.point(0, 1), 2))
+""", "has rank 1, expected 2"),
     "criterion_3_intersection_dimension": (PLANES + """\
 la.rank = lambda m: len(m)
 plane_intersection(pl1, pl2)

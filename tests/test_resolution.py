@@ -248,11 +248,11 @@ def test_downward_limit_requires_minimal_witness(curve, top, pool):
 def test_downward_limit_refuses_a_class_off_the_witness_plane(curve, top,
                                                               pool):
     """The class of pool[4] lies on no plane of pool[0] + pool[2], so the
-    drop-one check cannot catch it: the plane check itself must."""
+    lower-degree clause cannot catch it: the plane clause itself must."""
     pair = top.pair()
     cls = point_class(curve, pair, pool[4])
     D = Divisor.of_point(pool[0]) + Divisor.of_point(pool[2])
-    with pytest.raises(WitnessNotMinimalError, match="witness plane"):
+    with pytest.raises(WitnessNotMinimalError, match="not a minimal witness"):
         downward_limit(curve, top, FlowLinePoint(cls, D))
 
 
@@ -584,8 +584,9 @@ def test_cold_dag_build_validates_only_its_top(curve, criterion_7_runs):
 def test_cold_dag_build_rechecks_no_edge(monkeypatch, curve,
                                          criterion_7_runs):
     """Each edge's certificate is the canonical class's
-    ``minimal_pool_witness``, which tests its planes inside ``secant``:
-    the DAG neither takes the public limit nor tests a plane itself."""
+    ``minimal_pool_witness``, which tests its planes inside ``secant``
+    (``resolution`` imports no membership test): the DAG does not take
+    the public limit."""
     top, ell, pool, expected = criterion_7_runs["budget_3"]
 
     def refused(*args):
@@ -593,7 +594,6 @@ def test_cold_dag_build_rechecks_no_edge(monkeypatch, curve,
 
     resolution._continuations.cache_clear()
     monkeypatch.setattr(resolution, "downward_limit", refused)
-    monkeypatch.setattr(resolution, "plane_membership", refused)
     assert len(enumerate_chains(curve, top, ell, pool)) == expected
     rep = commuting_check(curve, top, ell, pool)
     assert rep.chains == expected and rep.ok

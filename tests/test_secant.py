@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -18,9 +20,11 @@ from secantflow import (
     INF,
     BundlePair,
     CurveFunction,
+    CurvePoint,
     Divisor,
     DualClass,
     Poly,
+    SecantPlane,
     StratumResult,
     embedding_matrix,
     jet,
@@ -43,6 +47,7 @@ from secantflow.errors import (
     InadmissibleSupportError,
     MalformedInputError,
     PoleAtPointError,
+    UnsupportedSupportError,
     replace,
 )
 
@@ -142,6 +147,58 @@ def test_rank_law_with_repeated_points(g2, pair, pts):
 def test_degree_bound_enforced(g2, pair, pts):
     with pytest.raises(BoundViolationError):
         secant_plane(g2, pair, Divisor.of_point(pts["p"], pair.delta))
+
+
+def test_a_plane_derives_its_columns_however_it_is_made(g2, pair, pts):
+    """A plane is exactly (curve, pair, witness): moved to another witness
+    by ``replace``, then copied or pickled, it derives that witness's
+    columns and annihilator and answers membership as its own plane."""
+    p, pbar, q = (Divisor.of_point(pts[k]) for k in ("p", "pbar", "q"))
+    D2 = p + q + q
+    want = secant_plane(g2, pair, D2)
+    moved = replace(secant_plane(g2, pair, p + pbar), witness=D2)
+    classes = [point_class(g2, pair, x) for x in pts.values()]
+    classes += [DualClass(tuple(map(sum, zip(*plane.columns))))
+                for plane in (want, secant_plane(g2, pair, p + pbar))]
+    for plane in (moved, copy.copy(moved),
+                  pickle.loads(pickle.dumps(moved))):
+        assert plane == want and hash(plane) == hash(want)
+        assert plane.columns == want.columns
+        assert plane.annihilator == want.annihilator
+        assert ([plane_membership(e, plane) for e in classes]
+                == [plane_membership(e, want) for e in classes])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the two sides must fail alike
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("bad", ["out_of_bound", "weierstrass",
+                                 "off_the_curve", "not_effective", "zero"])
+def test_a_directly_built_plane_refuses_what_secant_plane_refuses(
+        g2, pair, pts, bad):
+    curve = g2
+    if bad == "out_of_bound":
+        D = Divisor.of_point(pts["p"], pair.delta)
+    elif bad == "weierstrass":
+        curve = make_curve([0, -4, 0, 0, 0, 1])  # (0, 0) on y^2 = x^5 - 4x
+        D = Divisor.of_point(curve.point(0, 0))
+    elif bad == "off_the_curve":
+        D = Divisor.of_point(pts["p"]) + Divisor.of_point(
+            CurvePoint.affine(0, 3))
+    elif bad == "not_effective":
+        D = Divisor.of_point(pts["p"], 2) - Divisor.of_point(pts["q"])
+    else:
+        D = Divisor.zero()
+    expected = {"out_of_bound": BoundViolationError,
+                "off_the_curve": UnsupportedSupportError}.get(
+                    bad, InadmissibleSupportError)
+    refused = _outcome(secant_plane, curve, pair, D)
+    assert refused[0] is expected
+    assert _outcome(SecantPlane, curve, pair, D) == refused
 
 
 # -- witness validation -----------------------------------------------------
@@ -258,6 +315,26 @@ def test_rank_law_failure_raises(monkeypatch, g2, pair, pts):
     with pytest.raises(DegenerateRankError, match="rank 1, expected 2"):
         # past the plane cache, so the check runs on this call
         secant_plane.__wrapped__(g2, pair, D)
+
+
+def test_a_directly_built_plane_checks_the_rank_law(monkeypatch, g2, pair,
+                                                   pts):
+    """A jet block whose second column repeats its first: the plane of 2p,
+    built directly, fails the rank law (``python -O`` alike, see
+    ``test_invariants``)."""
+    block = secant._jet_block.__wrapped__
+
+    def repeated(curve, pair, point, order):
+        cols = block(curve, pair, point, order)
+        return (cols[0], *cols[:-1])
+
+    secant_plane.cache_clear()
+    monkeypatch.setattr(secant, "_jet_block", repeated)
+    try:
+        with pytest.raises(DegenerateRankError, match="rank 1, expected 2"):
+            SecantPlane(g2, pair, Divisor.of_point(pts["p"], 2))
+    finally:
+        secant_plane.cache_clear()
 
 
 def test_twist_space_of_the_wrong_dimension_raises(monkeypatch, g2, pair):
@@ -626,7 +703,7 @@ def test_jet_blocks_slice_and_clear_exactly(data):
                              min_size=N, max_size=N))
     plane = secant_plane(curve, pair, Divisor([(pool[i], 1) for i in idx]))
     assert plane.annihilator == tuple(map(tuple, linalg.integer_kernel(
-        linalg.transpose(plane.span))))
+        [list(col) for col in plane.columns])))
 
 
 small_nonzero_polys = st.lists(small_fracs, min_size=1, max_size=3).map(
@@ -734,15 +811,15 @@ def test_annihilator_update_matches_integer_kernel(data):
     for D in data.draw(st.permutations(witnesses)):
         plane = secant_plane(curve, pair, D)
         assert plane.annihilator == tuple(map(tuple, linalg.integer_kernel(
-            [linalg.integral(col) for col in zip(*plane.span)])))
+            [linalg.integral(col) for col in plane.columns])))
         assert len(plane.annihilator) == n - D.degree
 
 
 @given(st.data())
 @settings(max_examples=25, deadline=None)
 def test_plane_matrix_embedding_matrix_and_point_class_agree(data):
-    # the three read the same jet columns; a plane is the value of
-    # (curve, pair, witness), whatever its span
+    # the three read the same jet columns; a plane is exactly (curve,
+    # pair, witness), and one built directly derives the same columns
     curve = ORACLE_CURVE
     pool = [ORACLE_POINTS[i] for i in data.draw(st.lists(
         st.integers(0, len(ORACLE_POINTS) - 1), min_size=2, max_size=5,
@@ -765,9 +842,11 @@ def test_plane_matrix_embedding_matrix_and_point_class_agree(data):
         start += mult
     assert start == D.degree
 
-    bare = type(plane)(curve, pair, D, (), ())
-    assert bare == plane and hash(bare) == hash(plane)
-    assert repr(bare) == repr(plane)
+    direct = SecantPlane(curve, pair, D)
+    assert direct == plane and hash(direct) == hash(plane)
+    assert repr(direct) == repr(plane)
+    assert direct.columns == plane.columns
+    assert direct.annihilator == plane.annihilator
 
 
 @pytest.mark.parametrize("style", range(3))
@@ -817,7 +896,7 @@ def test_minimal_pool_witness_agrees_with_the_search(data):
                         for _ in range(n)])
 
     def column_sum(D):
-        return tuple(sum(row) for row in secant_plane(curve, pair, D).span)
+        return tuple(map(sum, zip(*secant_plane(curve, pair, D).columns)))
 
     D = pool_divisor(1)
     if data.draw(st.booleans()):

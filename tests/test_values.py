@@ -128,6 +128,20 @@ def test_no_value_class_defines_its_own_constructor():
                 pass
 
 
+def test_every_field_takes_part_in_equality_hashing_and_the_repr():
+    with pytest.raises(TypeError):
+        class Hiding(Value, hidden=("b",)):
+            a: int
+            b: int
+
+    class Both(Value):
+        a: int
+        b: int
+
+    assert Both(1, 2) != Both(1, 3) and hash(Both(1, 2)) == hash((1, 2))
+    assert repr(Both(1, 2)).endswith("Both(a=1, b=2)")
+
+
 def test_a_required_field_may_not_follow_a_defaulted_one():
     with pytest.raises(TypeError, match="without a default"):
         class Unordered(Value):

@@ -18,7 +18,7 @@ import sys
 from collections.abc import Iterable
 
 from . import linalg, serialize as ser
-from .curve import h1_dim, riemann_roch_space, standard_curve
+from .curve import h1_dim, riemann_roch_space
 from .errors import (DegenerateRankError, InvariantError, MalformedInputError,
                      SecantflowError, SmoothnessFailureError)
 from .localmodel import (conjugated_higgs, flow_limit, gauge_factors,

@@ -15,7 +15,10 @@ degree bounds at infinity, and the resulting basis is re-certified before
 it is returned.  Every local computation at an affine point (the integer
 condition rows, the certificate, ``jet``, ``valuation``) reads one
 expansion of y, integers over one denominator certified against y^2 = f
-to the order used, and expands a + b y on it in integers.  A jet is
+to the order used, and expands a + b y on it in integers.  Each Taylor
+expansion (of f for y, of a and b, of a denominator) is one raw pass,
+``Poly.shift_numerators``: integers over one unreduced denominator, so no
+canonical polynomial, with its gcd, is built only to be read.  A jet is
 read in a local frame z^frame of a bundle (z = x - x0), so the Taylor
 window of h z^frame takes one integer pass whatever the frame's sign,
 and each of its coefficients is exact: an int where it is integral,
@@ -27,7 +30,10 @@ expansion (the norm a^2 - b^2 f is never formed); v_p(q) is
 cross-checked against q's truncated Taylor shift.
 
 Curves, points, divisors and functions are immutable values that key the
-package's caches; each computes its hash once and keeps it.
+package's caches; each computes its hash once and keeps it.  A point also
+keeps its conjugate, built on first use, and the conjugate keeps the
+point, so the place pairs that Riemann-Roch reads are looked up by
+identity.
 
 Point admissibility (y^2 = f(x), and y != 0 on a support) is checked where
 data enters: ``HyperellipticCurve.point`` when a point is made,
@@ -87,10 +93,19 @@ class CurvePoint(Value):
         return (not self.at_infinity, self.x, self.y)
 
     def conjugate(self) -> CurvePoint:
-        """The hyperelliptic involution (x, y) -> (x, -y); fixes infinity."""
-        if self.at_infinity:
-            return self
-        return CurvePoint(False, self.x, -self.y)
+        """The hyperelliptic involution (x, y) -> (x, -y); fixes infinity.
+
+        Built on first use and kept in the instance dict beside the kept
+        hash, never as a field; the conjugate keeps this point in turn, so
+        ``p.conjugate().conjugate() is p`` and a lookup of either is an
+        identity hit."""
+        kept = self.__dict__
+        if "_conjugate" not in kept:
+            if self.at_infinity:
+                return self
+            conj = CurvePoint(False, self.x, -self.y)
+            kept["_conjugate"], conj.__dict__["_conjugate"] = conj, self
+        return kept["_conjugate"]
 
     def __repr__(self) -> str:
         if self.at_infinity:
@@ -165,9 +180,8 @@ def _y_series_cached(curve: HyperellipticCurve, p: CurvePoint,
     hash is kept; a failed check is not kept.  Every expansion at a point
     (jets, valuations, the Riemann-Roch rows and certificate) reads it."""
     x0, y0 = p.x, p.y
-    shifted = curve.f.shift(x0, n)
-    fs, fd = shifted.numerators, shifted.denominator
-    fs += (0,) * (n - len(fs))
+    fs, fd = curve.f.shift_numerators(x0, n)
+    fs += [0] * (n - len(fs))
     ys = series.sqrt_series([Fraction(c, fd) for c in fs], y0, n)
     E = math.lcm(*(c.denominator for c in ys))
     Y = tuple(c.numerator * (E // c.denominator) for c in ys)
@@ -504,22 +518,22 @@ def _numerator_expansion(curve: HyperellipticCurve, h: CurveFunction,
     """a + b y at an affine point p of the curve in z = x - x0, to order
     n >= 1, as integer numerators N over one positive denominator S.
 
-    With a(x0 + z) = A / Da, b(x0 + z) = B / Db and y = Y / E, the term
+    With a(x0 + z) = A / Da, b(x0 + z) = B / Db (raw Taylor passes, not
+    reduced) and y = Y / E, the term
     N_t = A_t Db E + Da sum_s B_s Y_(t-s) is over S = Da Db E (over Da when
     b = 0, which reads no y).  y is expanded to order max(n, reach), so
     checks at one place can share one y entry.
     """
-    A = h.a.shift(p.x, n)
-    an = A.numerators + (0,) * (n - len(A.numerators))
+    an, Da = h.a.shift_numerators(p.x, n)
+    an += [0] * (n - len(an))
     if h.b.is_zero():
-        return list(an), A.denominator
-    B = h.b.shift(p.x, n)
+        return an, Da
+    bn, Db = h.b.shift_numerators(p.x, n)
     Y, E = _y_series_cached(curve, p, max(n, reach))
-    bn = B.numerators
-    scale_a, scale_b = B.denominator * E, A.denominator
-    return [an[t] * scale_a + scale_b * sum(
+    scale_a = Db * E
+    return [an[t] * scale_a + Da * sum(
         bn[s] * Y[t - s] for s in range(min(t + 1, len(bn))))
-        for t in range(n)], A.denominator * B.denominator * E
+        for t in range(n)], Da * Db * E
 
 
 def valuation(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint) -> int:
@@ -614,8 +628,8 @@ def jet(curve: HyperellipticCurve, h: CurveFunction, p: CurvePoint,
         if any(N[:s]):
             raise PoleAtPointError(
                 f"pole at {p!r}: the numerator vanishes to order below {w}")
-        Q = h.den.shift(p.x, v + n)
-        q, scale = Q.numerators[v:], Q.denominator
+        Q, scale = h.den.shift_numerators(p.x, v + n)
+        q = Q[v:]
         q0, den = q[0], S * q[0]
         qs = [c * q0 ** i for i, c in enumerate(q[1:])]  # q_i q0^(i-1)
         E: list[int] = []
@@ -819,8 +833,8 @@ def _root_order(den: Poly, x0: Fraction) -> int:
     share their denominator and a point shares its fibre with its
     conjugate; a check that fails is not kept and fails every time."""
     v = den.root_multiplicity(x0)
-    taylor = den.shift(x0, v + 1)
-    invariant(taylor.degree == v and not any(taylor.numerators[:v]),
+    taylor, _ = den.shift_numerators(x0, v + 1)
+    invariant(len(taylor) == v + 1 and taylor[v] and not any(taylor[:v]),
               "root multiplicity %d of %r at x = %s disagrees with its "
               "Taylor shift", v, den, x0)
     return v

@@ -58,15 +58,16 @@ class Value(Frozen):
     attribute of the same name is a field's default (defaults come last);
     every field takes part in equality, hashing and the repr.  What a value
     derives from its fields is a property, or is derived and checked by
-    ``__post_init__`` and kept in the instance dict beside the kept hash;
-    it is never a field.  Each subclass is given plain functions, not
-    generated code, and may not define its own: ``__init__`` (by position
-    or keyword, then ``__post_init__`` if the class has one), ``__eq__``
-    within the class, ``__hash__`` (the hash of the field tuple, computed
-    on first use and kept: values key caches) and ``__reduce__`` (through
-    the constructor, so a copy or an unpickled value is checked and derived
-    anew, and a kept hash, which may mix in per-process string hashes,
-    never crosses a process).
+    ``__post_init__``, or built on first use (a point's conjugate), and
+    kept in the instance dict beside the kept hash; it is never a field.
+    Each subclass is given plain functions, not generated code, and may
+    not define its own: ``__init__`` (by position or keyword, then
+    ``__post_init__`` if the class has one), ``__eq__`` within the class,
+    ``__hash__`` (the hash of the field tuple, computed on first use and
+    kept: values key caches) and ``__reduce__`` (through the constructor,
+    so a copy or an unpickled value is checked and derived anew, and
+    nothing kept, neither a conjugate nor a hash, which may mix in
+    per-process string hashes, crosses a process).
     """
 
     __slots__ = ()

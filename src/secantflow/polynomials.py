@@ -272,22 +272,32 @@ class Poly(Frozen):
         return _of([i * c for i, c in enumerate(self.numerators)][1:],
                    self.denominator)
 
-    def shift(self, x0: Scalar, n: int | None = None) -> Poly:
-        """The polynomial ``p(x0 + z)`` as a polynomial in z (Taylor shift),
-        truncated mod z^n when n is given; only n Horner passes run then."""
-        if not self.numerators:
-            return self
+    def shift_numerators(self, x0: Scalar,
+                         n: int | None = None) -> tuple[list[int], int]:
+        """The Taylor shift ``p(x0 + z)`` mod z^n as integers T over S > 0,
+        p(x0 + z) = sum T_k z^k / S, read straight off the Horner passes:
+        min(n, deg + 1) terms (all of them when n is None; only that many
+        passes run), neither trimmed nor put in lowest terms; ``shift``
+        is its canonical form."""
+        nums = self.numerators
+        if not nums:
+            return [], 1
         x0 = _frac(x0)
         v = x0.denominator
-        passes = islice(_taylor_passes(list(self.numerators), x0.numerator, v), n)
+        passes = islice(_taylor_passes(list(nums), x0.numerator, v), n)
         if v == 1:
-            return _of(list(passes), self.denominator)
+            return list(passes), self.denominator
         out = []
         vk = 1
         for t in passes:
             out.append(t * vk)
             vk *= v
-        return _of(out, self.denominator * v ** self.degree)
+        return out, self.denominator * v ** self.degree
+
+    def shift(self, x0: Scalar, n: int | None = None) -> Poly:
+        """The polynomial ``p(x0 + z)`` as a polynomial in z (Taylor shift),
+        truncated mod z^n when n is given."""
+        return _of(*self.shift_numerators(x0, n))
 
     def root_multiplicity(self, x0: Scalar) -> int:
         """Multiplicity of x0 as a root (0 if not a root)."""

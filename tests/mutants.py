@@ -144,6 +144,27 @@ MUTANTS = (
            "qs = [c * q0 ** i for i, c in enumerate(q[1:])]",
            "qs = [c * q0 ** (i + 1) for i, c in enumerate(q[1:])]",
            (S + "test_framed_jets_agree_with_sympy",)),
+    # the Riemann-Roch certificate's bound, at infinity and at an affine
+    # place, and the two checks of the Taylor passes it reads
+    Mutant("curve.py",
+           "return valuation(curve, h, p) + m >= 0",
+           "return True",
+           (f"{OPTIMIZED}[criterion_1_section_certificate]",)),
+    Mutant("curve.py",
+           "return not any(N)",
+           "return True",
+           (f"{OPTIMIZED}[criterion_1_order_threshold]",
+            "tests/test_curve.py::"
+            "test_order_threshold_rejects_outside_the_space")),
+    Mutant("curve.py",
+           "invariant(len(taylor) == v + 1 and taylor[v] and "
+           "not any(taylor[:v]),",
+           "invariant(True,",
+           (f"{OPTIMIZED}[criterion_1_integer_shift]",)),
+    Mutant("curve.py",
+           "== E * E * fs[t] for t in range(n)))",
+           "== E * E * fs[t] or True for t in range(n)))",
+           (f"{OPTIMIZED}[criterion_1_y_series_square]",)),
     # a top's "d" is the integer deg L1
     Mutant("serialize.py",
            "if type(d) is not int or d != L1.degree:",

@@ -154,6 +154,23 @@ def test_truncated_shift(p, x0):
         assert p.shift(x0, n) == Poly(poly_coeffs(full)[:n])
 
 
+int_polys = st.lists(st.integers(-9, 9), max_size=7).map(Poly)
+
+
+@given(st.one_of(int_polys, polys), centers, st.data())
+@settings(max_examples=200, deadline=None)
+def test_shift_numerators_match_sympy(p, x0, data):
+    """The raw core: min(n, deg + 1) integers over one positive integer,
+    unreduced, equal as rationals to sympy's shift truncated mod z^n."""
+    n = data.draw(st.none() | st.integers(0, max(p.degree, 0) + 2))
+    T, S = p.shift_numerators(x0, n)
+    assert type(S) is int and S > 0 and all(type(t) is int for t in T)
+    theirs = sympy_coeffs(to_sympy(p).shift(sympy.Rational(x0.numerator,
+                                                           x0.denominator)))
+    want = theirs[:n] if not p.is_zero() else []
+    assert [Fraction(t, S) for t in T] == want
+
+
 @given(st.lists(small_fracs.filter(bool), min_size=1, max_size=3),
        centers, st.integers(0, 6))
 @settings(max_examples=150, deadline=None)

@@ -255,3 +255,40 @@ def test_point_order_is_derived_once_on_first_use(monkeypatch):
     assert first > 0
     hash(E), repr(E), E.items(), E.support()
     assert len(calls) == first
+
+
+# -- a point's kept conjugate ------------------------------------------------
+
+def test_a_point_keeps_its_conjugate():
+    p = G2.point(1, 1)
+    q = p.conjugate()
+    assert q == CurvePoint.affine(1, -1) and q is not p
+    assert p.conjugate() is q and q.conjugate() is p
+    assert INF.conjugate() is INF and CurvePoint(True).conjugate() == INF
+
+
+def test_a_kept_conjugate_is_no_field():
+    kept = G2.point(-1, 1)
+    kept.conjugate()
+    fresh = CurvePoint.affine(-1, 1)
+    assert kept == fresh and fresh == kept
+    assert hash(kept) == hash(fresh) == hash((False, Fraction(-1), Fraction(1)))
+    assert repr(kept) == repr(fresh) == "CurvePoint(-1, 1)"
+    for other in (copy.copy(kept), copy.deepcopy(kept),
+                  pickle.loads(pickle.dumps(kept))):
+        assert other == kept and "_conjugate" not in vars(other)
+        assert other.conjugate() == kept.conjugate()
+        assert other.conjugate() is not kept.conjugate()
+
+
+def test_repeated_riemann_roch_builds_no_point(monkeypatch):
+    from secantflow import h1_dim, riemann_roch_space
+    p, q = G2.point(0, 1), G2.point(1, -1)
+    D = Divisor({INF: 3, p: 2, p.conjugate(): -1, q: 1})
+    first = (riemann_roch_space(G2, D), h1_dim(G2, D))
+    built = []
+    init = CurvePoint.__init__
+    monkeypatch.setattr(CurvePoint, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    again = (riemann_roch_space(G2, D), h1_dim(G2, D))
+    assert again == first and built == []

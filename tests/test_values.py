@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import secantflow
-from secantflow import INF, CurvePoint, Divisor, make_curve
+from secantflow import (INF, CurvePoint, Divisor, h1_dim, make_curve,
+                        riemann_roch_space)
 from secantflow.errors import Frozen, FrozenValueError, Value
 
 # Builds one value of each kind; run here and again in a child process.
@@ -282,7 +283,6 @@ def test_a_kept_conjugate_is_no_field():
 
 
 def test_repeated_riemann_roch_builds_no_point(monkeypatch):
-    from secantflow import h1_dim, riemann_roch_space
     p, q = G2.point(0, 1), G2.point(1, -1)
     D = Divisor({INF: 3, p: 2, p.conjugate(): -1, q: 1})
     first = (riemann_roch_space(G2, D), h1_dim(G2, D))

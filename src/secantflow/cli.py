@@ -61,11 +61,13 @@ def _load_json(path: str, what: str):
 
 def _emit(args, payload: dict, table: Iterable[dict],
           columns: list[str]) -> None:
+    """Write the payload as JSON, or the table, rows read lazily from the
+    payload, as CSV with one ``_cell`` per cell."""
     if args.emit == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         for row in table:
-            writer.writerow([row.get(c, "") for c in columns])
+            writer.writerow([_cell(row.get(c)) for c in columns])
     else:
         payload = {"schema_version": SCHEMA_VERSION, "seed": args.seed,
                    **payload}
@@ -111,8 +113,7 @@ def cmd_critical_sets(args) -> int:
         "level_range": [params.d_min, params.d_max],
         "critical_sets": rows,
     }
-    table = [{k: _cell(v) for k, v in r.items()} for r in rows]
-    _emit(args, payload, table,
+    _emit(args, payload, rows,
           ["d", "index_real", "dim_cplx", "f_rank_order", "is_minimum"])
     return 0
 
@@ -141,9 +142,8 @@ def cmd_verify_identities(args) -> int:
         "fibre_dim_crosscheck": frows,
         "ok": ok,
     }
-    columns = ["kind", "ell", "u", "d", "divisor", "lhs", "rhs", "ok"]
-    table = [{k: _cell(v) for k, v in r.items()} for r in srows + frows]
-    _emit(args, payload, table, columns)
+    _emit(args, payload, srows + frows,
+          ["kind", "ell", "u", "d", "divisor", "lhs", "rhs", "ok"])
     return 0 if ok else 1
 
 
@@ -175,9 +175,8 @@ def cmd_secant_matrix(args) -> int:
         "rank": linalg.rank(mat),
         "matrix": ser.matrix_to_json(mat),
     }
-    table = [{"row": i,
-              **{f"c{j}": ser.frac_to_str(e) for j, e in enumerate(row)}}
-             for i, row in enumerate(mat)]
+    table = ({"row": i, **{f"c{j}": e for j, e in enumerate(row)}}
+             for i, row in enumerate(payload["matrix"]))
     columns = ["row"] + [f"c{j}" for j in range(len(mat[0]) if mat else 0)]
     _emit(args, payload, table, columns)
     return 0
@@ -210,16 +209,10 @@ def cmd_local_model(args) -> int:
                            "rescale_step_ok": triv.rescale_step_ok},
         "ok": ok,
     }
-    table = []
-    for name, mat in (("g1", g1), ("g2", g2), ("product", smooth.product),
-                      ("eta0_slice", smooth.eta0_slice),
-                      ("eta1_slice", smooth.eta1_slice),
-                      ("conjugated_higgs", conj), ("limit", limit)):
-        for i in (0, 1):
-            for j in (0, 1):
-                table.append({"slot": f"{name}[{i}][{j}]",
-                              "value": _cell(ser.local_entry_to_json(
-                                  mat[i, j]))})
+    table = ({"slot": f"{name}[{i}][{j}]", "value": payload[name][i][j]}
+             for name in ("g1", "g2", "product", "eta0_slice", "eta1_slice",
+                          "conjugated_higgs", "limit")
+             for i in (0, 1) for j in (0, 1))
     _emit(args, payload, table, ["slot", "value"])
     return 0 if ok else 1
 
@@ -258,11 +251,7 @@ def cmd_chains(args) -> int:
         }
         if not rep.ok:
             code = 1
-    table = ({"chain": ci, "step": si,
-              "witness": _cell(step["witness"]),
-              "class": _cell(step["class"]),
-              "phase": _cell(step["phase"]),
-              "critical_d": step["critical_d"]}
+    table = ({"chain": ci, "step": si, **step}
              for ci, c in enumerate(payload["chains"])
              for si, step in enumerate(c["steps"]))
     _emit(args, payload, table,
@@ -287,10 +276,7 @@ def cmd_rr_space(args) -> int:
         "euler_identity_ok": euler_ok,
         "basis": [ser.function_to_json(h) for h in space.basis],
     }
-    table = [{"i": i, "a": _cell(ser.poly_to_list(h.a)),
-              "b": _cell(ser.poly_to_list(h.b)),
-              "den": _cell(ser.poly_to_list(h.den))}
-             for i, h in enumerate(space.basis)]
+    table = ({"i": i, **h} for i, h in enumerate(payload["basis"]))
     _emit(args, payload, table, ["i", "a", "b", "den"])
     return 0 if euler_ok else 1
 

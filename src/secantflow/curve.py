@@ -30,10 +30,13 @@ expansion (the norm a^2 - b^2 f is never formed); v_p(q) is
 cross-checked against q's truncated Taylor shift.
 
 Curves, points, divisors and functions are immutable values that key the
-package's caches; each computes its hash once and keeps it.  A point also
-keeps its conjugate, built on first use, and the conjugate keeps the
-point, so the place pairs that Riemann-Roch reads are looked up by
-identity.
+package's caches; each computes its hash once and keeps it.  Curves,
+points and functions are ``errors.Value`` classes (a function's
+``__post_init__`` puts (a, b, q) in canonical form and its norm is kept
+on first use); a divisor, which sums the terms it is built from, keeps
+its own constructor.  A point also keeps its conjugate, built on first
+use, and the conjugate keeps the point, so the place pairs that
+Riemann-Roch reads are looked up by identity.
 
 Point admissibility (y^2 = f(x), and y != 0 on a support) is checked where
 data enters: ``HyperellipticCurve.point`` when a point is made,
@@ -387,18 +390,22 @@ def _check_point(curve: HyperellipticCurve, p: CurvePoint) -> None:
 # functions on the curve
 # ---------------------------------------------------------------------------
 
-class CurveFunction(Frozen):
+class CurveFunction(Value):
     """An element (a(x) + b(x) y) / q(x) of the function field.
 
-    The representation is canonical: q is monic and gcd(a, b, q) = 1, so
-    equality of functions is equality of the triples.  The norm of the
-    numerator is computed on first use and kept.
+    The representation is canonical: ``__post_init__`` makes q monic and
+    gcd(a, b, q) = 1, so equality of functions is equality of the fields.
+    The norm of the numerator is computed on first use and kept beside
+    the kept hash; it is no field.
     """
 
-    __slots__ = ("curve", "a", "b", "den", "_norm", "_hash")
+    curve: HyperellipticCurve
+    a: Poly
+    b: Poly
+    den: Poly = Poly.one()
 
-    def __init__(self, curve: HyperellipticCurve, a: Poly, b: Poly,
-                 den: Poly = Poly.one()):
+    def __post_init__(self):
+        a, b, den = self.a, self.b, self.den
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if den.degree > 0:  # gcd with a nonzero constant is 1
@@ -413,16 +420,7 @@ class CurveFunction(Frozen):
         if lead != den.denominator:  # the leading coefficient is not 1
             inv = Fraction(den.denominator, lead)
             a, b, den = a * inv, b * inv, den * inv
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_norm", None)
-        object.__setattr__(self, "_hash", None)
-
-    def __reduce__(self):
-        # rebuilt through the constructor, so the kept hash stays behind
-        return CurveFunction, (self.curve, self.a, self.b, self.den)
+        self.__dict__.update(a=a, b=b, den=den)
 
     # -- constructors -------------------------------------------------------
 
@@ -452,10 +450,10 @@ class CurveFunction(Frozen):
 
     def norm_numerator(self) -> Poly:
         """The polynomial a^2 - b^2 f  (norm of the numerator a + b y)."""
-        if self._norm is None:
-            object.__setattr__(self, "_norm",
-                               self.a * self.a - self.b * self.b * self.curve.f)
-        return self._norm
+        kept = self.__dict__
+        if "_norm" not in kept:
+            kept["_norm"] = self.a * self.a - self.b * self.b * self.curve.f
+        return kept["_norm"]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -492,18 +490,6 @@ class CurveFunction(Frozen):
     def _check_same(self, other: CurveFunction) -> None:
         if self.curve != other.curve:
             raise ValueError("functions live on different curves")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CurveFunction):
-            return (self.curve == other.curve and self.a == other.a
-                    and self.b == other.b and self.den == other.den)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(
-                ("CurveFunction", self.curve, self.a, self.b, self.den)))
-        return self._hash
 
     def __repr__(self) -> str:
         num = f"{self.a!r} + ({self.b!r})*y"

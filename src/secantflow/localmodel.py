@@ -7,7 +7,10 @@ parameter (Laurent internally, but a limit with surviving negative powers
 is an error), phi the formal Higgs coefficient and w the antiholomorphic
 derivative of eta, nilpotent of order two (second derivatives are never
 needed, and products of bump derivatives at the same point vanish in the
-identities being checked).
+identities being checked).  A scalar is a ``Frozen`` map from exponent
+keys to coefficients whose constructor adds like terms, so every
+operation hands it raw terms; a 2x2 matrix of scalars is an
+``errors.Value``.
 
 Smoothness of the glued gauge transformation is verified the way the
 region argument runs: substitute eta = 0 on the patch containing z = 0 and
@@ -17,6 +20,7 @@ recognize the pure Hecke twist.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .errors import (Frozen, NegativeUExponentError, SmoothnessFailureError,
@@ -27,15 +31,23 @@ Key = tuple[int, int, int, int, int]  # (z, eta, u, phi, w) exponents
 
 
 class LocalScalar(Frozen):
-    """A canonical finite sum of monomial terms."""
+    """A canonical finite sum of monomial terms.
+
+    Not a Value: a scalar compares equal to the int or Fraction it is
+    (``ONE == 1``), which a Value's equality refuses.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Key, Fraction] | None = None):
-        # a dict's keys are unique already: sort once, dropping zero
-        # terms and w^2 = 0
+    def __init__(self, terms: Mapping[Key, Fraction]
+                 | Iterable[tuple[Key, Fraction]] = ()):
+        # like terms added here, for every operation; then sorted once,
+        # dropping zero terms and w^2 = 0
+        acc: dict[Key, Fraction] = {}
+        for k, c in terms.items() if isinstance(terms, Mapping) else terms:
+            acc[k] = acc[k] + c if k in acc else c
         object.__setattr__(self, "terms", {
-            k: c for k, c in sorted((terms or {}).items()) if c and k[4] < 2})
+            k: c for k, c in sorted(acc.items()) if c and k[4] < 2})
 
     def __reduce__(self):
         return LocalScalar, (self.terms,)
@@ -74,10 +86,7 @@ class LocalScalar(Frozen):
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: LocalScalar) -> LocalScalar:
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = acc[k] + c if k in acc else c
-        return LocalScalar(acc)
+        return LocalScalar([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> LocalScalar:
         return LocalScalar({k: -c for k, c in self.terms.items()})
@@ -87,15 +96,10 @@ class LocalScalar(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, LocalScalar):
-            acc: dict[Key, Fraction] = {}
-            for (z1, b1, k1, p1, w1), c1 in self.terms.items():
-                for (z2, b2, k2, p2, w2), c2 in other.terms.items():
-                    if w1 + w2 >= 2:
-                        continue
-                    key = (z1 + z2, b1 + b2, k1 + k2, p1 + p2, w1 + w2)
-                    c = c1 * c2
-                    acc[key] = acc[key] + c if key in acc else c
-            return LocalScalar(acc)
+            return LocalScalar(
+                ((z1 + z2, b1 + b2, k1 + k2, p1 + p2, w1 + w2), c1 * c2)
+                for (z1, b1, k1, p1, w1), c1 in self.terms.items()
+                for (z2, b2, k2, p2, w2), c2 in other.terms.items())
         c = _frac(other)
         return LocalScalar({k: v * c for k, v in self.terms.items()})
 
@@ -106,14 +110,9 @@ class LocalScalar(Frozen):
     def subs_eta(self, value: Scalar) -> LocalScalar:
         """Evaluate the bump indeterminate (its derivative w becomes 0)."""
         value = _frac(value)
-        acc: dict[Key, Fraction] = {}
-        for (z, b, k, p, w), c in self.terms.items():
-            if w:
-                continue
-            key = (z, 0, k, p, 0)
-            c *= value ** b
-            acc[key] = acc[key] + c if key in acc else c
-        return LocalScalar(acc)
+        return LocalScalar(((z, 0, k, p, 0), c * value ** b)
+                           for (z, b, k, p, w), c in self.terms.items()
+                           if not w)
 
     def u_limit(self) -> LocalScalar:
         """The u -> 0 limit: positive powers vanish, negative ones are
@@ -128,14 +127,8 @@ class LocalScalar(Frozen):
 
     def dbar(self) -> LocalScalar:
         """Antiholomorphic derivative: kills z, u, phi; eta^b -> b eta^(b-1) w."""
-        acc: dict[Key, Fraction] = {}
-        for (z, b, k, p, w), c in self.terms.items():
-            if b == 0:
-                continue
-            key = (z, b - 1, k, p, w + 1)
-            c *= b
-            acc[key] = acc[key] + c if key in acc else c
-        return LocalScalar(acc)
+        return LocalScalar(((z, b - 1, k, p, w + 1), c * b)
+                           for (z, b, k, p, w), c in self.terms.items() if b)
 
     # -- comparison and display ---------------------------------------------
 
@@ -196,19 +189,17 @@ def dbar_eta() -> LocalScalar:
     return LocalScalar.term(1, w=1)
 
 
-class LocalMatrix(Frozen):
-    """A 2x2 matrix of LocalScalars."""
+class LocalMatrix(Value):
+    """A 2x2 matrix of LocalScalars; ``__post_init__`` makes each entry
+    a LocalScalar (a number becomes a constant)."""
 
-    __slots__ = ("rows",)
+    rows: tuple
 
-    def __init__(self, rows):
-        rows = tuple(tuple(_coerce(e) for e in r) for r in rows)
+    def __post_init__(self):
+        rows = tuple(tuple(_coerce(e) for e in r) for r in self.rows)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("LocalMatrix is 2x2")
-        object.__setattr__(self, "rows", rows)
-
-    def __reduce__(self):
-        return LocalMatrix, (self.rows,)
+        self.__dict__["rows"] = rows
 
     @classmethod
     def identity(cls) -> LocalMatrix:
@@ -277,14 +268,6 @@ class LocalMatrix(Frozen):
         a, r2 = self.rows
         adj = LocalMatrix(((r2[1], -a[1]), (-r2[0], a[0])))
         return adj * scale
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LocalMatrix):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("LocalMatrix", self.rows))
 
     def __str__(self) -> str:
         return "[[%s, %s], [%s, %s]]" % tuple(

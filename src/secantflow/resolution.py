@@ -234,13 +234,14 @@ def upward_targets(curve: HyperellipticCurve, bottom: CriticalPointData,
     A divisor qualifies when twice it is dominated by the section's
     vanishing divisor and its degree keeps the source level strictly
     below (degE + degM)/2.  Returns (D, source level) pairs in
-    (degree, pool) lexicographic order.
+    (degree, pool) lexicographic order.  bottom is validated like a top.
     """
     params = bottom.params(curve)
     ell = bottom.d
     if not params.in_range(ell):
         raise ResolutionBoundViolationError(
             f"level {ell} is outside {params.level_range()}")
+    _validate_critical_point(curve, bottom)
     pool = checked_pool(curve, pool)
     cap = {p: section_order(curve, bottom, p) // 2 for p in pool}
     out = []

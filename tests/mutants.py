@@ -10,10 +10,12 @@ named tests against it.  A named test that passes is a survivor.
 
 Run it from anywhere (pytest does not collect this file)::
 
-    python tests/mutants.py
+    python tests/mutants.py [PYTEST_ARGS...]
 
-It exits 0 when every mutant is applied and killed by each of its tests,
-and 1 otherwise.  A check added later adds its mutant here.
+Any arguments are passed on to each pytest run, for example
+``--hypothesis-seed=3``.  It exits 0 when every mutant is applied and
+killed by each of its tests, and 1 otherwise.  A check added later adds
+its mutant here.
 """
 
 from __future__ import annotations
@@ -143,7 +145,14 @@ MUTANTS = (
     Mutant("curve.py",
            "qs = [c * q0 ** i for i, c in enumerate(q[1:])]",
            "qs = [c * q0 ** (i + 1) for i, c in enumerate(q[1:])]",
-           (S + "test_framed_jets_agree_with_sympy",)),
+           # not the sympy oracle: its draws reach q0 != +-1 with a later
+           # term only on some seeds
+           (S + "test_jet_weighs_each_denominator_term_by_its_power_of_q0",)),
+    # a function's canonical form divides out gcd(a, b, q)
+    Mutant("curve.py",
+           "a, b, den = a // g, b // g, den // g",
+           "pass",
+           ("tests/test_curve.py::test_function_canonical_form",)),
     # the Riemann-Roch certificate's bound, at infinity and at an affine
     # place, and the two checks of the Taylor passes it reads
     Mutant("curve.py",
@@ -165,6 +174,11 @@ MUTANTS = (
            "== E * E * fs[t] for t in range(n)))",
            "== E * E * fs[t] or True for t in range(n)))",
            (f"{OPTIMIZED}[criterion_1_y_series_square]",)),
+    # upward_targets validates its bottom like a top
+    Mutant("resolution.py",
+           "    _validate_critical_point(curve, bottom)\n",
+           "",
+           (R + "test_upward_targets_validate_the_bottom",)),
     # a top's "d" is the integer deg L1
     Mutant("serialize.py",
            "if type(d) is not int or d != L1.degree:",
@@ -188,9 +202,9 @@ def _killed_by(test: str, failed: set[str]) -> bool:
     return any(f == test or f.startswith(test + "[") for f in failed)
 
 
-def run(mutant: Mutant) -> list[str]:
+def run(mutant: Mutant, pytest_args=()) -> list[str]:
     """The problems with one mutant: empty when it is applied and every
-    named test fails."""
+    named test fails (pytest_args are passed on to the pytest run)."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns(
@@ -214,7 +228,7 @@ def run(mutant: Mutant) -> list[str]:
                     f"not from the copy {src}"]
         res = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE",
-             "-p", "no:cacheprovider", *mutant.tests],
+             "-p", "no:cacheprovider", *pytest_args, *mutant.tests],
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=900)
         if res.returncode not in (0, 1):
             return [f"pytest exited {res.returncode}:\n{res.stdout}"
@@ -224,11 +238,11 @@ def run(mutant: Mutant) -> list[str]:
                 if not _killed_by(test, failed)]
 
 
-def main() -> int:
-    bad = 0
+def main(pytest_args=()) -> int:
+    bad, begun = 0, time.perf_counter()
     for i, mutant in enumerate(MUTANTS):
         started = time.perf_counter()
-        problems = run(mutant)
+        problems = run(mutant, pytest_args)
         took = time.perf_counter() - started
         first = mutant.old.strip().splitlines()[0]
         print(f"[{i}] {mutant.file}: {first!r}: "
@@ -236,9 +250,10 @@ def main() -> int:
         for problem in problems:
             print(f"    {problem}")
         bad += bool(problems)
-    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed "
+          f"({time.perf_counter() - begun:.1f} s)")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

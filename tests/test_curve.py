@@ -329,6 +329,16 @@ def test_jet_linearity(g2):
                        for a, b in zip(jx, jy))
 
 
+def test_function_canonical_form(g2):
+    # (x^2 - x)/(2x - 2) = x/2: the common factor x - 1 is divided out and
+    # the denominator made monic, so equal functions are equal values
+    h = CurveFunction(g2, Poly([0, -1, 1]), Poly.zero(), Poly([-2, 2]))
+    assert (h.a, h.b, h.den) == (Poly([0, Fraction(1, 2)]), Poly.zero(),
+                                 Poly.one())
+    half_x = CurveFunction.x(g2) * Fraction(1, 2)
+    assert h == half_x and hash(h) == hash(half_x)
+
+
 def test_jet_of_rational_function_with_cancellation(g2):
     # (x * (x-1)) / (x-1) = x as a function; jet at (1,3) must see through
     # the removable factor

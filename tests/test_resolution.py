@@ -295,6 +295,18 @@ def test_upward_targets_respect_section_divisibility(curve, one, pool):
                    (Divisor.of_point(p, 2), 3)]
 
 
+def test_upward_targets_validate_the_bottom(curve):
+    # x^2/(x - 1) has simple poles on the fibre over x = 1, which the
+    # bundle divisor L2 - L1 + M = 3*inf does not absorb
+    phi = CurveFunction(curve, Poly([0, 0, 1]), Poly.zero(), Poly([-1, 1]))
+    L1, L2, M = Divisor({INF: 2}), Divisor({INF: -1}), Divisor({INF: 6})
+    with pytest.raises(MalformedInputError, match="^phi: "):
+        make_critical_point(curve, L1, L2, M, phi)
+    raw = CriticalPointData(L1, L2, M, phi)
+    with pytest.raises(MalformedInputError, match="^phi: "):
+        upward_targets(curve, raw, [curve.point(0, 1), curve.point(1, 1)])
+
+
 def test_upward_targets_level_window(curve, one, pool):
     # at the top level no flow line can arrive from above
     top_level = make_critical_point(curve, Divisor({INF: 3}),

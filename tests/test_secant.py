@@ -736,6 +736,16 @@ def test_framed_jets_agree_with_sympy(data):
         assert got == jet(curve, h, p, order)
 
 
+def test_jet_weighs_each_denominator_term_by_its_power_of_q0():
+    # 1/(x + 2) at (0, 1): q0 = 2, so a wrong power of q0 in the
+    # recursion changes every coefficient past the first
+    curve = make_curve([1, -1, 0, 0, 0, 1])  # y^2 = x^5 - x + 1
+    h = CurveFunction(curve, Poly.one(), Poly.zero(), Poly([2, 1]))
+    got = jet(curve, h, curve.point(0, 1), 3).values
+    assert got == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8),
+                   Fraction(-1, 16))
+
+
 @pytest.mark.parametrize("k", range(4))
 def test_framed_jet_answers_poles_up_to_its_frame(k):
     # y / z^k has a pole of order exactly k at every point of the pool

@@ -1,6 +1,7 @@
 """The value mechanism against ``dataclasses``: every value class of the
 package is compared with a ``dataclass(frozen=True)`` twin declared from
-the same annotations, defaults, ``__post_init__`` and own ``__repr__``.
+the same annotations, defaults, ``__post_init__`` and own ``__repr__``
+(and ``__str__``, which a repr may read).
 
 Both must agree on construction (positional, keyword, defaults, bad
 arguments, ``__post_init__`` errors), ``==``, the exact hash value,
@@ -26,25 +27,27 @@ from secantflow.errors import Value, replace
 from secantflow.polynomials import Poly
 
 CLASSES = {
-    "CurvePoint": curve, "HyperellipticCurve": curve, "JetVector": curve,
-    "SectionSpace": curve,
+    "CurvePoint": curve, "HyperellipticCurve": curve, "CurveFunction": curve,
+    "JetVector": curve, "SectionSpace": curve,
     "BundlePair": secant, "DualClass": secant, "SecantPlane": secant,
     "StratumResult": secant,
     "FlowLinePoint": resolution, "CriticalPointData": resolution,
     "ChainRecord": resolution, "CommutingReport": resolution,
     "ModuliParams": morse, "CriticalSet": morse, "StratPoset": morse,
     "SmaleRow": morse, "SmaleReport": morse,
-    "SmoothnessReport": localmodel, "TrivializationReport": localmodel,
+    "LocalMatrix": localmodel, "SmoothnessReport": localmodel,
+    "TrivializationReport": localmodel,
 }
 def twin_of(cls):
     """The dataclass the value class would be: its annotations, defaults,
-    ``__post_init__`` and own ``__repr__``, under the same qualified name."""
+    ``__post_init__`` and own ``__repr__`` and ``__str__``, under the same
+    qualified name."""
     ns = {"__annotations__": dict(cls.__annotations__),
           "__qualname__": cls.__qualname__, "__module__": __name__}
     for name in cls.__annotations__:
         if name in vars(cls):
             ns[name] = vars(cls)[name]
-    for name in ("__post_init__", "__repr__"):
+    for name in ("__post_init__", "__repr__", "__str__"):
         if name in vars(cls):
             ns[name] = vars(cls)[name]
     return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), ns))
@@ -79,10 +82,15 @@ effective = st.dictionaries(st.sampled_from(POINTS), st.integers(1, 2),
                             min_size=1, max_size=2).map(Divisor)
 points = st.one_of(st.just(INF), st.sampled_from(POINTS))
 polys = st.lists(st.integers(-2, 2), max_size=4).map(Poly)
+rational_polys = st.lists(fracs, max_size=3).map(Poly)
 functions = st.sampled_from(FUNCTIONS)
 coords = st.tuples(fracs, fracs, fracs)
 dual = st.tuples(st.integers(1, 3), fracs, fracs).map(secant.DualClass)
 matrices = st.sampled_from(MATRICES)
+# an entry of a local matrix: a number, or one of the model's scalars
+local_entries = st.one_of(ints, fracs, st.sampled_from(
+    [localmodel.ZERO, localmodel.eta(), localmodel.z_pow(-2),
+     localmodel.u_pow(1) * localmodel.phi() - localmodel.dbar_eta()]))
 moduli = st.builds(morse.ModuliParams, st.integers(2, 4), ints,
                    st.integers(1, 8), st.booleans())
 smale_rows = st.builds(morse.SmaleRow, ints, ints, ints, ints)
@@ -102,6 +110,8 @@ FIELDS = {
     "CurvePoint": (st.booleans(), st.one_of(st.none(), fracs),
                    st.one_of(st.none(), fracs)),
     "HyperellipticCurve": (polys,),
+    "CurveFunction": (st.just(G2), rational_polys, rational_polys,
+                      rational_polys),
     "JetVector": (points, coords),
     "SectionSpace": (divisors, st.tuples(functions)),
     "BundlePair": (ints, ints, ints, divisors, divisors, divisors),
@@ -121,6 +131,8 @@ FIELDS = {
     "StratPoset": (ints, st.lists(small, max_size=3).map(tuple)),
     "SmaleRow": (ints, ints, ints, ints),
     "SmaleReport": (moduli, st.lists(smale_rows, max_size=2).map(tuple)),
+    "LocalMatrix": (st.lists(st.lists(local_entries, max_size=3),
+                             max_size=3),),
     "SmoothnessReport": (small, matrices, matrices, matrices, st.booleans(),
                          st.booleans()),
     "TrivializationReport": (st.booleans(), st.booleans()),
@@ -134,6 +146,13 @@ def _bundle_args(L2, E, k):
 
 # tuples that pass __post_init__ more often than independent fields would
 ARGS = {
+    # a common factor for the canonical form to divide out
+    "CurveFunction": st.builds(
+        lambda a, b, q, g: (G2, a * g, b * g, q * g),
+        rational_polys, rational_polys, rational_polys, rational_polys),
+    "LocalMatrix": st.tuples(st.tuples(
+        st.tuples(local_entries, local_entries),
+        st.tuples(local_entries, local_entries))),
     "BundlePair": st.builds(_bundle_args, divisors, effective,
                             st.integers(0, 2)),
     "FlowLinePoint": st.tuples(dual, effective,

@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import secantflow
-from secantflow import (INF, CurvePoint, Divisor, h1_dim, make_curve,
-                        riemann_roch_space)
+from secantflow import (INF, CurveFunction, CurvePoint, Divisor, Poly,
+                        h1_dim, make_curve, riemann_roch_space)
 from secantflow.errors import Frozen, FrozenValueError, Value
 
 # Builds one value of each kind; run here and again in a child process.
@@ -77,8 +77,9 @@ def test_hash_values_are_the_field_hashes():
     assert hash(v["infinity"]) == hash((True, Fraction(0), Fraction(0)))
     assert hash(curve) == hash((curve.f,))
     assert hash(D) == hash(("Divisor", D.items()))
-    assert hash(phi) == hash(("CurveFunction", phi.curve, phi.a, phi.b,
-                              phi.den))
+    assert hash(phi) == hash((phi.curve, phi.a, phi.b, phi.den))
+    gauge = v["LocalMatrix"]
+    assert hash(gauge) == hash((gauge.rows,))
     assert hash(pair) == hash((pair.d1, pair.d2, pair.m, pair.L1_rep,
                                pair.L2_rep, pair.M_rep))
     top = v["CriticalPointData"]
@@ -280,6 +281,18 @@ def test_a_kept_conjugate_is_no_field():
         assert other == kept and "_conjugate" not in vars(other)
         assert other.conjugate() == kept.conjugate()
         assert other.conjugate() is not kept.conjugate()
+
+
+def test_a_kept_norm_is_no_field():
+    h = CurveFunction(G2, Poly([1, 2]), Poly([3]), Poly([-1, 1]))
+    norm = h.norm_numerator()
+    assert norm == h.a * h.a - h.b * h.b * G2.f and h.norm_numerator() is norm
+    fresh = CurveFunction(G2, Poly([1, 2]), Poly([3]), Poly([-1, 1]))
+    assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
+    assert pickle.dumps(h) == pickle.dumps(fresh)
+    for other in (copy.copy(h), copy.deepcopy(h),
+                  pickle.loads(pickle.dumps(h))):
+        assert other == h and "_norm" not in vars(other)
 
 
 def test_repeated_riemann_roch_builds_no_point(monkeypatch):

@@ -57,6 +57,9 @@ def _load_json(path: str, what: str):
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"{what} file {path} is not UTF-8 text: "
                                   f"{exc.reason}", field=what) from exc
+    except RecursionError as exc:
+        raise MalformedInputError(f"{what} file {path} nests too deeply "
+                                  "to read", field=what) from exc
 
 
 def _emit(args, payload: dict, table: Iterable[dict],

@@ -380,10 +380,11 @@ def validate_support(curve: HyperellipticCurve, D: Divisor) -> None:
 def _check_point(curve: HyperellipticCurve, p: CurvePoint) -> None:
     # lru_cache keeps no entry for a call that raises
     if not curve.is_on_curve(p.x, p.y):
-        raise UnsupportedSupportError(f"{p!r} is not on the curve")
+        raise UnsupportedSupportError(
+            f"({p.x}, {p.y}) does not satisfy y^2 = f(x)")
     if p.y == 0:
         raise UnsupportedSupportError(
-            f"{p!r} is a Weierstrass point; support must avoid y = 0")
+            f"({p.x}, 0) is a Weierstrass point; support must avoid y = 0")
 
 
 # ---------------------------------------------------------------------------

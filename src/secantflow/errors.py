@@ -228,10 +228,6 @@ class ResolutionError(SecantflowError):
     module = "resolution"
 
 
-class BudgetViolationError(ResolutionError):
-    """A chain step or witness degree leaves the permitted range."""
-
-
 class WitnessNotMinimalError(ResolutionError):
     """A class lies on a plane of a proper subdivisor of its witness."""
 

@@ -1,12 +1,14 @@
 """Broken flow lines between critical levels and their chain combinatorics.
 
 A critical point is a split bundle with a nilpotent off-diagonal field,
-held here as divisor representatives plus one rational function reused as
-the section across every twist; it is validated where it enters, once
-per curve.  A flow line leaving it is recorded by the dual class of its
-initial condition with the minimal secant witness of that class; the
-downward limit is the witness twist (``CriticalPointData.twisted``), valid
-by construction, and the section reappears with a double zero along it.
+held here as its bundle pair plus one rational function reused as the
+section across every twist.  The pair's one inequality d2 < d1 <= d2 + m
+is the level window and, for a twist by D, the budget 2 deg D < d1 - d2;
+the rest is validated where a critical point enters, once per curve.
+A flow line leaving it is recorded by the dual class of its initial
+condition with the minimal secant witness of that class; the downward
+limit is the witness twist (``CriticalPointData.twisted``), valid by
+construction, and the section reappears with a double zero along it.
 
 Chains of such steps are the strata of the iterated-blowup picture: the
 paths of one DAG of critical points per query, each node expanded once and
@@ -30,10 +32,10 @@ from itertools import accumulate
 from .curve import (INF, CurveFunction, CurvePoint, Divisor,
                     HyperellipticCurve, valuation,
                     validate_support)
-from .errors import (BudgetViolationError, DegenerateRankError,
-                     MalformedInputError, ResolutionBoundViolationError,
-                     UnsupportedSupportError, Value, WitnessNotMinimalError,
-                     ZeroSectionError, invariant, replace)
+from .errors import (DegenerateRankError, MalformedInputError,
+                     ResolutionBoundViolationError, UnsupportedSupportError,
+                     Value, WitnessNotMinimalError, ZeroSectionError,
+                     invariant, replace)
 from .morse import ModuliParams
 from .secant import (BundlePair, DualClass, checked_pool,
                      minimal_pool_witness, pool_divisors, secant_plane)
@@ -80,7 +82,8 @@ def flow_line_point(curve: HyperellipticCurve, pair: BundlePair,
 
 
 class CriticalPointData(Value):
-    """A split critical point via divisor representatives.
+    """A split critical point: its bundle pair, whose own check is the
+    level window, and its section.
 
     phi is one fixed rational function; at level d it is read as a
     section of the line bundle with divisor L2 - L1 + M, and after a
@@ -88,41 +91,34 @@ class CriticalPointData(Value):
     shifted divisor.
     """
 
-    L1_rep: Divisor
-    L2_rep: Divisor
-    M_rep: Divisor
+    pair: BundlePair
     phi: CurveFunction
 
     @property
     def d(self) -> int:
-        return self.L1_rep.degree
+        return self.pair.d1
 
     @property
     def degE(self) -> int:
-        return self.L1_rep.degree + self.L2_rep.degree
+        return self.pair.d1 + self.pair.d2
 
     @property
     def degM(self) -> int:
-        return self.M_rep.degree
-
-    @property
-    def delta(self) -> int:
-        return self.L1_rep.degree - self.L2_rep.degree
+        return self.pair.m
 
     def bundle_divisor(self) -> Divisor:
-        return self.L2_rep - self.L1_rep + self.M_rep
-
-    def pair(self) -> BundlePair:
-        return BundlePair(self.L1_rep.degree, self.L2_rep.degree, self.degM,
-                          self.L1_rep, self.L2_rep, self.M_rep)
+        return self.pair.L2_rep - self.pair.L1_rep + self.pair.M_rep
 
     def params(self, curve: HyperellipticCurve) -> ModuliParams:
         return ModuliParams(curve.genus, self.degE, self.degM)
 
     def twisted(self, D: Divisor) -> CriticalPointData:
-        """The witness twist: D moves from L1 to L2, one level per degree."""
-        return CriticalPointData(self.L1_rep - D, self.L2_rep + D, self.M_rep,
-                                 self.phi)
+        """The witness twist: D moves from L1 to L2, one level per degree;
+        the twisted pair refuses it unless 2 deg D < d1 - d2."""
+        pair, n = self.pair, D.degree
+        return CriticalPointData(
+            BundlePair(pair.d1 - n, pair.d2 + n, pair.m, pair.L1_rep - D,
+                       pair.L2_rep + D, pair.M_rep), self.phi)
 
 
 def section_order(curve: HyperellipticCurve, data: CriticalPointData,
@@ -130,8 +126,8 @@ def section_order(curve: HyperellipticCurve, data: CriticalPointData,
     """Vanishing order at p of phi read as a section at this level; p is
     infinity or a point of the curve off y = 0 (a precondition).  The
     bundle divisor L2 - L1 + M is read at p alone, not built."""
-    return (valuation(curve, data.phi, p) + data.L2_rep.coeff(p)
-            - data.L1_rep.coeff(p) + data.M_rep.coeff(p))
+    return (valuation(curve, data.phi, p) + data.pair.L2_rep.coeff(p)
+            - data.pair.L1_rep.coeff(p) + data.pair.M_rep.coeff(p))
 
 
 def _pole_fibre_points(curve: HyperellipticCurve,
@@ -153,16 +149,11 @@ def _pole_fibre_points(curve: HyperellipticCurve,
 @lru_cache(maxsize=1024)
 def _validate_critical_point(curve: HyperellipticCurve,
                              data: CriticalPointData) -> None:
-    # remembered per curve once it passes; lru_cache keeps no failure
+    # remembered per curve once it passes; lru_cache keeps no failure.
+    # The pair checked the level window; what is left needs the curve.
     if data.phi.is_zero():
         raise ZeroSectionError("phi must be a nonzero section")
-    if 2 * data.d <= data.degE:
-        raise ResolutionBoundViolationError(
-            f"level d = {data.d} is not above degE/2 = {data.degE}/2")
-    if data.degE + data.degM - 2 * data.d < 0:
-        raise ResolutionBoundViolationError(
-            f"level d = {data.d} leaves the section bundle with negative degree")
-    for rep in (data.L1_rep, data.L2_rep, data.M_rep):
+    for rep in (data.pair.L1_rep, data.pair.L2_rep, data.pair.M_rep):
         validate_support(curve, rep)
     B = data.bundle_divisor()
     checks = set(_pole_fibre_points(curve, data.phi))
@@ -179,9 +170,11 @@ def _validate_critical_point(curve: HyperellipticCurve,
 def make_critical_point(curve: HyperellipticCurve, L1_rep: Divisor,
                         L2_rep: Divisor, M_rep: Divisor,
                         phi: CurveFunction) -> CriticalPointData:
-    """Validated constructor: checks the level is nonminimal and that the
-    vanishing divisor of phi as a section is effective."""
-    data = CriticalPointData(L1_rep, L2_rep, M_rep, phi)
+    """Validated constructor: the pair checks the level window, and the
+    curve that the vanishing divisor of phi as a section is effective."""
+    data = CriticalPointData(
+        BundlePair(L1_rep.degree, L2_rep.degree, M_rep.degree,
+                   L1_rep, L2_rep, M_rep), phi)
     _validate_critical_point(curve, data)
     return data
 
@@ -196,10 +189,11 @@ def _witness_twist(top: CriticalPointData, D: Divisor) -> CriticalPointData:
     so the gain is that of the bundle divisor L2 - L1 + M alone."""
     limit = top.twisted(D)
     invariant(limit.phi is top.phi, "the twist replaced phi")
+    old, new = top.pair, limit.pair
     for p, mult in D.items():
-        gained = (limit.L2_rep.coeff(p) - limit.L1_rep.coeff(p)
-                  + limit.M_rep.coeff(p) - top.L2_rep.coeff(p)
-                  + top.L1_rep.coeff(p) - top.M_rep.coeff(p))
+        gained = (new.L2_rep.coeff(p) - new.L1_rep.coeff(p)
+                  + new.M_rep.coeff(p) - old.L2_rep.coeff(p)
+                  + old.L1_rep.coeff(p) - old.M_rep.coeff(p))
         invariant(gained == 2 * mult, "order at %r gained %d, not %d",
                   p, gained, 2 * mult)
     return limit
@@ -208,23 +202,21 @@ def _witness_twist(top: CriticalPointData, D: Divisor) -> CriticalPointData:
 def downward_limit(curve: HyperellipticCurve, top: CriticalPointData,
                    x: FlowLinePoint) -> CriticalPointData:
     """The critical point the flow line from x converges to: the checked
-    witness twist ``_witness_twist(top, D)``, after the budget check and
-    the one minimality rule, ``minimal_pool_witness`` over D's own support
-    (the chain DAG's certificate proves both per edge).
+    witness twist ``_witness_twist(top, D)``, whose pair is the budget
+    check, after the one minimality rule, ``minimal_pool_witness`` over
+    D's own support (the chain DAG's certificate proves it per edge).
 
-    Only top is validated.  Its limit is then valid: for n = deg D,
-    2(d - n) - degE = delta - 2n > 0; the bundle divisor only gains 2D,
-    so phi stays regular; the supports stay among validated points.
+    Only top is validated.  Its limit is then valid: the pair keeps the
+    level window; the bundle divisor only gains 2D, so phi stays regular;
+    the supports stay among validated points.
     """
     _validate_critical_point(curve, top)
     D = x.witness  # FlowLinePoint guarantees deg D >= 1
-    if 2 * D.degree >= top.delta:
-        raise BudgetViolationError(
-            f"deg D = {D.degree} must stay below (d1 - d2)/2 = {top.delta}/2")
-    if not minimal_pool_witness(curve, top.pair(), x.cls, D, D.support()):
+    limit = _witness_twist(top, D)
+    if not minimal_pool_witness(curve, top.pair, x.cls, D, D.support()):
         raise WitnessNotMinimalError(
             f"{D!r} is not a minimal witness of the class")
-    return _witness_twist(top, D)
+    return limit
 
 
 def upward_targets(curve: HyperellipticCurve, bottom: CriticalPointData,
@@ -236,16 +228,12 @@ def upward_targets(curve: HyperellipticCurve, bottom: CriticalPointData,
     below (degE + degM)/2.  Returns (D, source level) pairs in
     (degree, pool) lexicographic order.  bottom is validated like a top.
     """
-    params = bottom.params(curve)
     ell = bottom.d
-    if not params.in_range(ell):
-        raise ResolutionBoundViolationError(
-            f"level {ell} is outside {params.level_range()}")
     _validate_critical_point(curve, bottom)
     pool = checked_pool(curve, pool)
     cap = {p: section_order(curve, bottom, p) // 2 for p in pool}
     out = []
-    max_deg = (params.degE + params.degM - 2 * ell - 1) // 2
+    max_deg = (bottom.degE + bottom.degM - 2 * ell - 1) // 2
     for n in range(1, max_deg + 1):
         for D in pool_divisors(pool, n):
             if all(mult <= cap[p] for p, mult in D.items()):
@@ -326,7 +314,7 @@ def _canonical_class(curve: HyperellipticCurve, pair: BundlePair,
     return e
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _continuations(curve: HyperellipticCurve, top: CriticalPointData,
                    ell: int, pool: tuple) -> dict:
     """The chain DAG from top down to level ell: node -> (steps, count).
@@ -334,10 +322,11 @@ def _continuations(curve: HyperellipticCurve, top: CriticalPointData,
     A node's steps are its (flow-line point, limit) edges in lexicographic
     order, with canonical classes; its count is the number of step
     sequences from it down to ell (1 at ell, 0 where no flow line may
-    arrive).  Each node is expanded once; the DAG is one cache entry.
-    One certificate per edge, ``minimal_pool_witness`` in
-    ``_canonical_class``, and one ``_witness_twist``: nodes below the top
-    are valid by construction.
+    arrive).  Each node is expanded once; the DAG is the one cache entry
+    (its one reuse is ``commuting_check`` after ``enumerate_chains``).
+    One ``_witness_twist`` per edge, whose pair is the budget check, and
+    one certificate, ``minimal_pool_witness`` in ``_canonical_class``:
+    nodes below the top are valid by construction.
     """
     dag: dict = {}
 
@@ -347,12 +336,11 @@ def _continuations(curve: HyperellipticCurve, top: CriticalPointData,
         steps = []
         count = 1 if node.d == ell else 0
         if node.d > ell and 2 * node.d < node.degE + node.degM:
-            pair = node.pair()
             for n in range(1, node.d - ell + 1):
-                invariant(2 * n < node.delta, "witness outside the secant bound")
                 for D in pool_divisors(pool, n):
-                    x = FlowLinePoint(_canonical_class(curve, pair, D, pool), D)
                     limit = _witness_twist(node, D)
+                    x = FlowLinePoint(
+                        _canonical_class(curve, node.pair, D, pool), D)
                     steps.append((x, limit))
                     count += expand(limit)
         dag[node] = (tuple(steps), count)
@@ -364,17 +352,15 @@ def _continuations(curve: HyperellipticCurve, top: CriticalPointData,
 
 def _chain_dag(curve: HyperellipticCurve, top: CriticalPointData, ell: int,
                pool) -> dict:
-    """The checked query's chain DAG: u and ell in the level range with
-    ell < u, an admissible pool and a valid top critical point."""
+    """The checked query's chain DAG: ell in the level range below the
+    top's level u, an admissible pool and a valid top critical point."""
     params = top.params(curve)
-    u = top.d
-    for name, level in (("u", u), ("ell", ell)):
-        if not params.in_range(level):
-            raise ResolutionBoundViolationError(
-                f"{name} = {level} is outside {params.level_range()}")
-    if ell >= u:
+    if not params.in_range(ell):
         raise ResolutionBoundViolationError(
-            f"need ell < u, got ell = {ell}, u = {u}")
+            f"ell = {ell} is outside {params.level_range()}")
+    if ell >= top.d:
+        raise ResolutionBoundViolationError(
+            f"need ell < u, got ell = {ell}, u = {top.d}")
     pool = checked_pool(curve, pool)
     _validate_critical_point(curve, top)
     return _continuations(curve, top, ell, pool)

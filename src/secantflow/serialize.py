@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curve import (INF, CurveFunction, CurvePoint, Divisor,
-                    HyperellipticCurve, make_curve)
-from .errors import MalformedInputError
+                    HyperellipticCurve, _check_point, make_curve)
+from .errors import MalformedInputError, UnsupportedSupportError
 from .polynomials import ROOT_SEARCH_MAX_BITS, Poly
 
 
@@ -132,16 +132,13 @@ def point_from_json(curve: HyperellipticCurve, obj,
     if "x" not in obj or "y" not in obj:
         raise MalformedInputError('an affine point needs "x" and "y"',
                                   field=field)
-    x = frac_from_str(obj["x"], field=f"{field}.x")
-    y = frac_from_str(obj["y"], field=f"{field}.y")
-    if not curve.is_on_curve(x, y):
-        raise MalformedInputError(f"({x}, {y}) does not satisfy y^2 = f(x)",
-                                  field=field)
-    if y == 0:
-        raise MalformedInputError(
-            f"({x}, 0) is a Weierstrass point; support must avoid y = 0",
-            field=field)
-    return CurvePoint.affine(x, y)
+    p = CurvePoint.affine(frac_from_str(obj["x"], field=f"{field}.x"),
+                          frac_from_str(obj["y"], field=f"{field}.y"))
+    try:
+        _check_point(curve, p)
+    except UnsupportedSupportError as exc:
+        raise MalformedInputError(str(exc), field=field) from exc
+    return p
 
 
 def divisor_to_json(D: Divisor) -> dict:
@@ -238,9 +235,10 @@ def function_from_json(curve: HyperellipticCurve, obj,
 
 
 def critical_point_to_json(data) -> dict:
-    return {"L1": divisor_to_json(data.L1_rep),
-            "L2": divisor_to_json(data.L2_rep),
-            "M": divisor_to_json(data.M_rep),
+    pair = data.pair
+    return {"L1": divisor_to_json(pair.L1_rep),
+            "L2": divisor_to_json(pair.L2_rep),
+            "M": divisor_to_json(pair.M_rep),
             "phi": function_to_json(data.phi),
             "d": data.d}
 

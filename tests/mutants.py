@@ -8,6 +8,11 @@ refactor that moves the code fails loudly instead of skipping the
 mutant), checks that ``secantflow`` imports from the copy, and runs the
 named tests against it.  A named test that passes is a survivor.
 
+Before anything runs, each named test is found in its file with ``ast``,
+and an entry whose named tests all carry ``@given`` is refused: a test
+that draws its cases kills a mutant only when a draw reaches it, so such
+an entry would fail at random on unchanged code.
+
 Run it from anywhere (pytest does not collect this file)::
 
     python tests/mutants.py [PYTEST_ARGS...]
@@ -20,6 +25,7 @@ its mutant here.
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -77,22 +83,19 @@ MUTANTS = (
            "and not any(False",
            (R + "test_flow_line_point_rejects_non_minimal_witness",
             R + "test_downward_limit_requires_minimal_witness")),
-    # the DAG's budget, which its level range implies
-    Mutant("resolution.py",
-           'invariant(2 * n < node.delta, "witness outside the secant bound")',
-           "pass",
-           (R + "test_dag_budget_invariant_fires_below_the_level_range",
-            f"{OPTIMIZED}[criterion_7_dag_budget]")),
-    # downward_limit's own checks: top and budget (its minimality is the
+    # the one inequality d2 < d1 of a pair: a critical point's level
+    # window, and the budget of every twist, the DAG's and downward_limit's
+    Mutant("secant.py",
+           "if self.d1 <= self.d2:",
+           "if False:",
+           (R + "test_level_window_enforced",
+            R + "test_downward_limit_budget")),
+    # downward_limit's own check of its top (its minimality is the
     # certificate's, above; the order gain is the first entry)
     Mutant("resolution.py",
            "    _validate_critical_point(curve, top)\n    D = x.witness",
            "    D = x.witness",
            (R + "test_downward_limit_validates_its_top",)),
-    Mutant("resolution.py",
-           "if 2 * D.degree >= top.delta:",
-           "if False:",
-           (R + "test_downward_limit_budget",)),
     # a plane, however it is built, keeps the degree bound and the rank law
     Mutant("secant.py",
            "if D.degree >= pair.delta:",
@@ -188,6 +191,32 @@ MUTANTS = (
 )
 
 
+def _draws(test: str) -> bool:
+    """Whether the named test (``path::name``, maybe with ``[params]``)
+    carries ``@given``, bare, called or as ``hypothesis.given``."""
+    path, _, name = test.partition("::")
+    name = name.split("[")[0]
+    tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return any(_is_given(d) for d in node.decorator_list)
+    raise LookupError(f"{path} defines no test {name}")
+
+
+def _is_given(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return getattr(decorator, "id", getattr(decorator, "attr", None)) == "given"
+
+
+def refused(mutants=MUTANTS) -> list[str]:
+    """The entries whose named tests all draw their cases, one line each."""
+    return [f"[{i}] {mutant.file}: {mutant.old.strip().splitlines()[0]!r}: "
+            "every named test carries @given"
+            for i, mutant in enumerate(mutants)
+            if all(_draws(test) for test in mutant.tests)]
+
+
 def _failed(output: str) -> set[str]:
     """The ids pytest's short summary (-rfE) reports failed or errored."""
     ids = set()
@@ -239,6 +268,11 @@ def run(mutant: Mutant, pytest_args=()) -> list[str]:
 
 
 def main(pytest_args=()) -> int:
+    refusals = refused()
+    for line in refusals:
+        print(f"refused {line}")
+    if refusals:
+        return 1
     bad, begun = 0, time.perf_counter()
     for i, mutant in enumerate(MUTANTS):
         started = time.perf_counter()

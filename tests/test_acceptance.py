@@ -227,8 +227,8 @@ def test_criterion_6_downward_upward_consistency():
             top = make_critical_point(curve, Divisor({INF: u}),
                                       Divisor({INF: degE - u}),
                                       Divisor({INF: degM}), section)
-            x = flow_line_point(curve, top.pair(),
-                                generic_class_on(curve, top.pair(), D),
+            x = flow_line_point(curve, top.pair,
+                                generic_class_on(curve, top.pair, D),
                                 D, pool)
             before = {p: section_order(curve, top, p) for p, _ in D.items()}
             limit = downward_limit(curve, top, x)

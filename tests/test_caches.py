@@ -9,7 +9,8 @@ import pkgutil
 import pytest
 
 import secantflow
-from secantflow import (INF, CurveFunction, CurvePoint, Divisor, Poly, curve,
+from secantflow import (INF, CurveFunction, CurvePoint, Divisor, Poly,
+                        commuting_check, curve, enumerate_chains,
                         make_critical_point, make_curve, pool_divisors,
                         resolution)
 from secantflow.curve import validate_support
@@ -100,3 +101,21 @@ def test_pool_divisors_built_once_for_list_and_tuple():
     assert pool_divisors(tuple(pool), 2) is divisors
     assert pool_divisors(list(pool), 2) is divisors
     assert len(divisors) == 6
+
+
+def test_chain_dag_cache_keeps_one_query():
+    """A chain DAG can weigh megabytes, and its one reuse is the diagram
+    check right after the enumeration of the same query: distinct queries
+    leave one DAG, and the check after its own enumeration still hits."""
+    g2 = make_curve([1, -1, 0, 0, 0, 1])           # y^2 = x^5 - x + 1
+    one = CurveFunction(g2, Poly([1]), Poly.zero())
+    top = make_critical_point(g2, Divisor({INF: 3}), Divisor({INF: -2}),
+                              Divisor({INF: 6}), one)
+    pool = [g2.point(0, 1), g2.point(0, -1), g2.point(1, 1), g2.point(1, -1)]
+    cache = resolution._continuations
+    for query in (pool, pool[::-1], pool[1:] + pool[:1]):
+        enumerate_chains(g2, top, 2, query)
+        assert cache.cache_info().currsize == 1
+        hits = cache.cache_info().hits
+        assert commuting_check(g2, top, 2, query).ok
+        assert cache.cache_info().hits == hits + 1

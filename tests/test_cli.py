@@ -236,6 +236,27 @@ def test_exit_two_on_undecodable_input_naming_its_field(files, tmp_path,
                           "is not UTF-8 text: invalid start byte\n")
 
 
+@pytest.mark.parametrize("field", ["curve", "divisor", "top", "pool"])
+def test_exit_two_on_deeply_nested_input_naming_its_field(files, tmp_path,
+                                                          field):
+    # json's decoder recurses once per bracket: 200,000 of them exhaust
+    # the interpreter's stack limit (400 KB of file)
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"inf": 1, "affine": ' + "[" * 200_000
+                    + "]" * 200_000 + "}")
+    paths = {**files, field: str(deep)}
+    if field in ("curve", "divisor"):
+        args = ["rr-space", "--curve", paths["curve"],
+                "--divisor", paths["div5"] if field == "curve" else str(deep)]
+    else:
+        args = ["chains", "--curve", files["curve"], "--top", paths["top"],
+                "--ell", "2", "--pool", paths["pool"]]
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stderr == (f"input error [cli]: {field}: {field} file {deep} "
+                          "nests too deeply to read\n")
+
+
 def test_exit_two_on_missing_file(files):
     res = run_cli("rr-space", "--curve", "/nonexistent/c.json",
                   "--divisor", files["div5"])

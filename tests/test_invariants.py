@@ -4,9 +4,10 @@ Each case breaks one step behind an acceptance check with a monkeypatch
 (or, for the chain DAG's budget, asks below the level range) and runs
 the check's core call in a ``python -O`` subprocess, where every
 ``assert`` statement would be stripped; InvariantError must still be
-raised.  The secant identities (the rank law, criterion 2, and the gcd
-intersection, criterion 3) report a broken step as DegenerateRankError,
-under ``-O`` alike.
+raised (for the budget, the twisted pair's BoundViolationError).  The
+secant identities (the rank law, criterion 2, and the gcd intersection,
+criterion 3) report a broken step as DegenerateRankError, under ``-O``
+alike.
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ def perturbed(a, y0, n):
     return ys
 c.series.sqrt_series = perturbed
 curve = make_curve([1, -1, 0, 0, 0, 1])
+"""
+
+# The twist takes D out of L1 but puts nothing into L2: the section gains
+# a simple zero along D, not a double one.
+HALF_TWIST = """\
+def half_twist(self, D):
+    pair = self.pair
+    return CriticalPointData(BundlePair(
+        pair.d1 - D.degree, pair.d2, pair.m, pair.L1_rep - D, pair.L2_rep,
+        pair.M_rep), self.phi)
 """
 
 CASES = {
@@ -75,15 +86,14 @@ import secantflow.localmodel as lm
 lm.LocalMatrix.trace = lambda self: lm.ONE
 flow_limit(2)
 """,
-    "criterion_6_order_gain": """\
+    "criterion_6_order_gain": HALF_TWIST + """\
 curve = make_curve([1, -1, 0, 0, 0, 1])
 one = CurveFunction(curve, Poly([1]), Poly.zero())
 top = make_critical_point(curve, Divisor({INF: 3}), Divisor({INF: -2}),
                           Divisor({INF: 6}), one)
 p = curve.point(0, 1)
-x = FlowLinePoint(point_class(curve, top.pair(), p), Divisor.of_point(p))
-CriticalPointData.twisted = lambda self, D: CriticalPointData(
-    self.L1_rep - D, self.L2_rep, self.M_rep, self.phi)
+x = FlowLinePoint(point_class(curve, top.pair, p), Divisor.of_point(p))
+CriticalPointData.twisted = half_twist
 downward_limit(curve, top, x)
 """,
     "criterion_6_twist_keeps_phi": """\
@@ -92,24 +102,25 @@ one = CurveFunction(curve, Poly([1]), Poly.zero())
 top = make_critical_point(curve, Divisor({INF: 3}), Divisor({INF: -2}),
                           Divisor({INF: 6}), one)
 p = curve.point(0, 1)
-x = FlowLinePoint(point_class(curve, top.pair(), p), Divisor.of_point(p))
+x = FlowLinePoint(point_class(curve, top.pair, p), Divisor.of_point(p))
 two = CurveFunction(curve, Poly([2]), Poly.zero())
+twist = CriticalPointData.twisted
 CriticalPointData.twisted = lambda self, D: CriticalPointData(
-    self.L1_rep - D, self.L2_rep + D, self.M_rep, two)
+    twist(self, D).pair, two)
 downward_limit(curve, top, x)
 """,
-    "criterion_7_memoized_chain_step": """\
+    "criterion_7_memoized_chain_step": HALF_TWIST + """\
 curve = make_curve([1, -1, 0, 0, 0, 1])
 one = CurveFunction(curve, Poly([1]), Poly.zero())
 top = make_critical_point(curve, Divisor({INF: 3}), Divisor({INF: -2}),
                           Divisor({INF: 6}), one)
 pool = [curve.point(0, 1), curve.point(1, 1)]
-CriticalPointData.twisted = lambda self, D: CriticalPointData(
-    self.L1_rep - D, self.L2_rep, self.M_rep, self.phi)
+CriticalPointData.twisted = half_twist
 enumerate_chains(curve, top, 2, pool)
 """,
     # no patch: a DAG asked for a level below the range meets a witness
-    # outside the secant bound, which the query's range check keeps out
+    # over the budget, which the query's range check keeps out; the
+    # twisted pair's window refuses it (BoundViolationError)
     "criterion_7_dag_budget": """\
 import secantflow.resolution as r
 curve = make_curve([1, -1, 0, 0, 0, 1])
@@ -180,11 +191,17 @@ def _stderr_under_optimize(code: str) -> str:
     return res.stderr
 
 
+# the chain budget is no invariant of its own but the level window that
+# the twisted pair's constructor checks
+RAISES = {"criterion_7_dag_budget": "BoundViolationError"}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_invariant_fires_under_optimize(case):
     err = _stderr_under_optimize(CASES[case])
     last = err.strip().splitlines()[-1]
-    assert last.startswith("secantflow.errors.InvariantError: "), err
+    raised = RAISES.get(case, "InvariantError")
+    assert last.startswith(f"secantflow.errors.{raised}: "), err
 
 
 @pytest.mark.parametrize("case", sorted(IDENTITY_CASES))

@@ -10,6 +10,7 @@ import pytest
 
 from secantflow import (
     INF,
+    BundlePair,
     ChainRecord,
     CriticalPointData,
     CurveFunction,
@@ -37,10 +38,8 @@ from secantflow import (
 )
 from secantflow.errors import (
     BoundViolationError,
-    BudgetViolationError,
     DegenerateRankError,
     InadmissibleSupportError,
-    InvariantError,
     MalformedInputError,
     UnsupportedSupportError,
     WeierstrassPointError,
@@ -93,9 +92,23 @@ def class_with_witness(curve, pair, D):
 # -- critical point validation ----------------------------------------------
 
 def test_critical_point_degrees(top):
-    assert (top.d, top.degE, top.degM, top.delta) == (3, 1, 6, 5)
+    assert top._fields == ("pair", "phi")
+    assert (top.d, top.degE, top.degM, top.pair.delta) == (3, 1, 6, 5)
     assert top.bundle_divisor() == Divisor({INF: 1})
-    assert top.pair().delta == 5
+    assert top.pair == BundlePair.at_infinity(3, -2, 6)
+
+
+def test_twist_over_the_budget_is_refused(top, pool):
+    """A twist is a pair (d1 - deg D, d2 + deg D), so its level window is
+    the budget 2 deg D < d1 - d2 = 5."""
+    p = pool[0]
+    limit = top.twisted(Divisor.of_point(p, 2))
+    assert limit.pair == BundlePair(1, 0, 6, Divisor({INF: 3, p: -2}),
+                                    Divisor({INF: -2, p: 2}),
+                                    Divisor({INF: 6}))
+    assert limit.phi is top.phi
+    with pytest.raises(BoundViolationError, match="need d1 > d2"):
+        top.twisted(Divisor.of_point(p, 3))
 
 
 def test_zero_section_rejected(curve):
@@ -166,7 +179,7 @@ def test_section_order_reads_the_bundle_frame(curve, top, pool):
 # -- flow line points --------------------------------------------------------
 
 def test_flow_line_point_validation(curve, top, pool):
-    pair = top.pair()
+    pair = top.pair
     p = pool[0]
     x = flow_line_point(curve, pair, point_class(curve, pair, p),
                         Divisor.of_point(p), pool)
@@ -179,14 +192,14 @@ def test_flow_line_point_validation(curve, top, pool):
 
 
 def test_flow_line_point_rejects_off_plane_class(curve, top, pool):
-    pair = top.pair()
+    pair = top.pair
     cls = point_class(curve, pair, pool[0])
     with pytest.raises(WitnessNotMinimalError):
         flow_line_point(curve, pair, cls, Divisor.of_point(pool[2]), pool)
 
 
 def test_flow_line_point_rejects_non_minimal_witness(curve, top, pool):
-    pair = top.pair()
+    pair = top.pair
     cls = point_class(curve, pair, pool[0])
     fat = Divisor.of_point(pool[0]) + Divisor.of_point(pool[2])
     with pytest.raises(WitnessNotMinimalError):
@@ -196,7 +209,7 @@ def test_flow_line_point_rejects_non_minimal_witness(curve, top, pool):
 def test_flow_line_point_rejects_a_witness_off_the_pool(curve, top, pool):
     # the class lies on its witness's plane, but the witness is no pool
     # divisor
-    pair = top.pair()
+    pair = top.pair
     cls = point_class(curve, pair, pool[4])
     with pytest.raises(WitnessNotMinimalError):
         flow_line_point(curve, pair, cls, Divisor.of_point(pool[4]),
@@ -206,20 +219,20 @@ def test_flow_line_point_rejects_a_witness_off_the_pool(curve, top, pool):
 # -- downward limits ---------------------------------------------------------
 
 def test_downward_limit_single_point(curve, top, pool):
-    pair = top.pair()
+    pair = top.pair
     p = pool[0]
     x = flow_line_point(curve, pair, point_class(curve, pair, p),
                         Divisor.of_point(p), pool)
     limit = downward_limit(curve, top, x)
     assert limit.d == 2
-    assert limit.L1_rep == top.L1_rep - Divisor.of_point(p)
-    assert limit.L2_rep == top.L2_rep + Divisor.of_point(p)
-    assert limit.M_rep == top.M_rep
+    assert limit.pair.L1_rep == top.pair.L1_rep - Divisor.of_point(p)
+    assert limit.pair.L2_rep == top.pair.L2_rep + Divisor.of_point(p)
+    assert limit.pair.M_rep == top.pair.M_rep
     assert section_order(curve, limit, p) == section_order(curve, top, p) + 2
 
 
 def test_downward_limit_double_point(curve, top, pool):
-    pair = top.pair()
+    pair = top.pair
     p = pool[0]
     D = Divisor.of_point(p, 2)
     x = flow_line_point(curve, pair, class_with_witness(curve, pair, D),
@@ -230,15 +243,15 @@ def test_downward_limit_double_point(curve, top, pool):
 
 
 def test_downward_limit_budget(curve, top, pool):
-    pair = top.pair()
+    pair = top.pair
     D = Divisor.of_point(pool[0], 3)   # 2 deg = 6 >= delta = 5
     x = FlowLinePoint(class_with_witness(curve, pair, D), D)
-    with pytest.raises(BudgetViolationError):
+    with pytest.raises(BoundViolationError, match="need d1 > d2"):
         downward_limit(curve, top, x)
 
 
 def test_downward_limit_requires_minimal_witness(curve, top, pool):
-    pair = top.pair()
+    pair = top.pair
     cls = point_class(curve, pair, pool[0])
     fat = Divisor.of_point(pool[0]) + Divisor.of_point(pool[2])
     with pytest.raises(WitnessNotMinimalError):
@@ -249,7 +262,7 @@ def test_downward_limit_refuses_a_class_off_the_witness_plane(curve, top,
                                                               pool):
     """The class of pool[4] lies on no plane of pool[0] + pool[2], so the
     lower-degree clause cannot catch it: the plane clause itself must."""
-    pair = top.pair()
+    pair = top.pair
     cls = point_class(curve, pair, pool[4])
     D = Divisor.of_point(pool[0]) + Divisor.of_point(pool[2])
     with pytest.raises(WitnessNotMinimalError, match="not a minimal witness"):
@@ -263,9 +276,9 @@ def test_downward_limit_validates_its_top(curve):
     L1, L2, M = Divisor({INF: 3}), Divisor({INF: -2}), Divisor({INF: 8})
     with pytest.raises(MalformedInputError, match="^phi: "):
         make_critical_point(curve, L1, L2, M, phi)
-    raw = CriticalPointData(L1, L2, M, phi)
+    raw = CriticalPointData(BundlePair.at_infinity(3, -2, 8), phi)
     p = curve.point(0, 1)
-    x = FlowLinePoint(point_class(curve, raw.pair(), p), Divisor.of_point(p))
+    x = FlowLinePoint(point_class(curve, raw.pair, p), Divisor.of_point(p))
     # the twist would gain a double zero at p and hide the pole
     with pytest.raises(MalformedInputError, match="^phi: "):
         downward_limit(curve, raw, x)
@@ -274,7 +287,7 @@ def test_downward_limit_validates_its_top(curve):
 # -- upward targets ----------------------------------------------------------
 
 def test_upward_targets_relists_the_used_witness(curve, top, pool):
-    pair = top.pair()
+    pair = top.pair
     p = pool[0]
     x = flow_line_point(curve, pair, point_class(curve, pair, p),
                         Divisor.of_point(p), pool)
@@ -302,7 +315,7 @@ def test_upward_targets_validate_the_bottom(curve):
     L1, L2, M = Divisor({INF: 2}), Divisor({INF: -1}), Divisor({INF: 6})
     with pytest.raises(MalformedInputError, match="^phi: "):
         make_critical_point(curve, L1, L2, M, phi)
-    raw = CriticalPointData(L1, L2, M, phi)
+    raw = CriticalPointData(BundlePair.at_infinity(2, -1, 6), phi)
     with pytest.raises(MalformedInputError, match="^phi: "):
         upward_targets(curve, raw, [curve.point(0, 1), curve.point(1, 1)])
 
@@ -423,8 +436,8 @@ def test_chains_twist_consistently(curve, top, pool):
     for chain in enumerate_chains(curve, top, 1, pool):
         level = top
         for x, data in chain.steps:
-            assert data.L1_rep == level.L1_rep - x.witness
-            assert data.L2_rep == level.L2_rep + x.witness
+            assert data.pair.L1_rep == level.pair.L1_rep - x.witness
+            assert data.pair.L2_rep == level.pair.L2_rep + x.witness
             assert data.d == level.d - x.witness.degree
             for p, mult in x.witness.items():
                 assert section_order(curve, data, p) >= 2 * mult
@@ -481,7 +494,7 @@ def reference_walk(curve, top, ell, pool):
             return
         for n in range(1, node.d - ell + 1):
             for D in pool_divisors(pool, n):
-                cls = resolution._canonical_class(curve, node.pair(), D, pool)
+                cls = resolution._canonical_class(curve, node.pair, D, pool)
                 x = FlowLinePoint(cls, D)
                 limit = downward_limit(curve, node, x)
                 for rest in walk(limit):
@@ -520,7 +533,7 @@ def test_canonical_class_is_the_column_sum(curve, criterion_7_runs, run):
     top, ell, pool, _ = criterion_7_runs[run]
     edges = 0
     for node, (steps, _) in chain_dag(curve, top, ell, pool).items():
-        pair = node.pair()
+        pair = node.pair
         for x, _ in steps:
             D = x.witness
             plane = secant_plane(curve, pair, D)
@@ -547,7 +560,7 @@ def test_canonical_class_checks_its_witness(monkeypatch, curve, top, pool,
                                             case):
     witness, summed = (Divisor([(pool[i], 1) for i in idx])
                        for idx in WRONG_COLUMN_SUMS[case])
-    pair = top.pair()
+    pair = top.pair
     plane = secant_plane(curve, pair, summed)
     monkeypatch.setattr(resolution, "secant_plane", lambda *args: plane)
     with pytest.raises(DegenerateRankError):
@@ -612,11 +625,12 @@ def test_cold_dag_build_rechecks_no_edge(monkeypatch, curve,
 
 
 def test_dag_budget_invariant_fires_below_the_level_range(curve, one, pool):
-    """Below the level range a witness outgrows the secant bound; the
-    invariant refuses it (the query's range check never lets it happen)."""
+    """Below the level range a witness outgrows the budget; the twisted
+    pair's window refuses it (the query's range check never lets it
+    happen)."""
     top = make_critical_point(curve, Divisor({INF: 4}), Divisor({INF: -3}),
                               Divisor({INF: 8}), one)
-    with pytest.raises(InvariantError, match="secant bound"):
+    with pytest.raises(BoundViolationError, match="need d1 > d2"):
         resolution._continuations.__wrapped__(curve, top, 0, tuple(pool[:4]))
 
 

@@ -70,7 +70,7 @@ FUNCTIONS = [CurveFunction(G2, Poly([1]), Poly.zero()),
 TOP = resolution.make_critical_point(
     G2, Divisor({INF: 4}), Divisor({INF: -3}), Divisor({INF: 8}),
     FUNCTIONS[0])
-PAIR = TOP.pair()
+PAIR = TOP.pair
 MATRICES = [*localmodel.gauge_factors(1), localmodel.glued_gauge(2)]
 
 ints = st.integers(-3, 6)
@@ -101,9 +101,12 @@ flow_points = st.builds(resolution.FlowLinePoint,
                         st.just(secant.DualClass((1, 0))), effective,
                         st.sampled_from([Fraction(0), Fraction(1, 2)]))
 # a chain entry: a flow-line point, or something a chain refuses (a
-# (point, limit) pair, a critical point, None)
+# (point, limit) pair, a critical point, None); a limit is twisted only
+# by a witness inside the top's budget, 2 deg D < d1 - d2
 chain_entries = st.one_of(
-    flow_points, flow_points.map(lambda x: (x, TOP.twisted(x.witness))),
+    flow_points,
+    flow_points.filter(lambda x: 2 * x.witness.degree < PAIR.delta).map(
+        lambda x: (x, TOP.twisted(x.witness))),
     st.sampled_from([TOP, None]))
 
 FIELDS = {
@@ -121,7 +124,7 @@ FIELDS = {
     "StratumResult": (small, st.tuples(effective)),
     "FlowLinePoint": (dual, divisors,
                       st.one_of(st.none(), fracs, st.just(True))),
-    "CriticalPointData": (divisors, divisors, divisors, functions),
+    "CriticalPointData": (pairs, functions),
     "ChainRecord": (st.just(TOP),
                     st.lists(chain_entries, max_size=2).map(tuple)),
     "CommutingReport": (small, small, small, small),

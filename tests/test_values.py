@@ -83,7 +83,7 @@ def test_hash_values_are_the_field_hashes():
     assert hash(pair) == hash((pair.d1, pair.d2, pair.m, pair.L1_rep,
                                pair.L2_rep, pair.M_rep))
     top = v["CriticalPointData"]
-    assert hash(top) == hash((top.L1_rep, top.L2_rep, top.M_rep, top.phi))
+    assert hash(top) == hash((top.pair, top.phi))
 
 
 @pytest.mark.parametrize("kind", sorted(VALUES))
